@@ -274,7 +274,7 @@ main(int argc, char **argv)
         datasets = quick ? std::vector<std::string>{"FR"}
                          : std::vector<std::string>{"FR", "RM22"};
     }
-    const unsigned parallel_jobs = harness::jobCount();
+    const unsigned parallel_jobs = common::jobCount();
     std::printf("parallel jobs: %u (hardware threads: %u)\n\n",
                 parallel_jobs, std::thread::hardware_concurrency());
 

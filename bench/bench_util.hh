@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "graph/datasets.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 
 namespace gds::bench
 {
@@ -47,7 +47,7 @@ sharedMatrix(harness::ResultCache &cache)
 {
     std::printf("evaluation matrix: cold cells run on GDS_JOBS=%u "
                 "workers; cached cells are reused\n\n",
-                harness::jobCount());
+                common::jobCount());
     return harness::evaluationMatrix(cache);
 }
 

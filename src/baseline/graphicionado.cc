@@ -1,12 +1,10 @@
 #include "baseline/graphicionado.hh"
 
-#include <csignal>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 
 #include "common/bitutil.hh"
-#include "common/parse.hh"
+#include "core/supervised_run.hh"
 #include "sim/checkpoint.hh"
 
 namespace gds::baseline
@@ -173,148 +171,27 @@ GraphicionadoAccel::run(const core::RunOptions &options)
 
     runStart = now;
 
-    // Supervised execution (same protocol as GdsAccel::run): completion,
-    // deadlock, livelock and budget exhaustion are distinguished by the
-    // Simulator watchdog instead of an assert.
-    sim::Simulator driver;
-    driver.add(this);
-    if (options.sampler) {
-        if (options.sampler->probeCount() == 0)
-            registerProbes(*options.sampler);
-        driver.setSampler(options.sampler);
-    }
-    driver.setTracer(obs::activeTracer(), options.traceCounterInterval);
-    sim::RunLimits limits;
-    limits.maxCycles =
-        options.cycleBudget != 0 ? options.cycleBudget : 50'000'000'000ULL;
-    if (options.stallCycles != 0)
-        limits.stallCycles = options.stallCycles;
-    limits.fastForward =
-        options.fastForward && !common::envFlag("GDS_NO_FASTFORWARD");
-
-    std::optional<sim::FaultInjector> injector;
-    if (options.faults.any()) {
-        injector.emplace(options.faults); // throws ConfigError if invalid
-        hbm->setFaultInjector(&*injector);
-    }
-
-    // Checkpoint wiring: same payload protocol as GdsAccel::run()
-    // (accelerator, then optional fault/sampler/tracer state, then the
-    // driver).
-    constexpr std::uint32_t kStateVersion = 1;
-    std::optional<sim::CheckpointStore> store;
-    std::string identity;
-    if (!options.checkpoint.dir.empty()) {
-        identity = gds::detail::vformat(
-            "graphicionado|%s|V=%u|E=%llu|src=%u|%s", algo.name().c_str(),
-            v_count,
-            static_cast<unsigned long long>(fullGraph.numEdges()),
-            options.source, options.checkpoint.identity.c_str());
-        store.emplace(options.checkpoint.dir, options.checkpoint.basename);
-    }
-
-    const auto serializeAll = [&](sim::Serializer &s) {
-        saveState(s);
-        s.writeBool(injector.has_value());
-        if (injector)
-            injector->saveState(s);
-        s.writeBool(options.sampler != nullptr);
-        if (options.sampler)
-            options.sampler->saveState(s);
-        obs::Tracer *tr = obs::activeTracer();
-        s.writeBool(tr != nullptr);
-        if (tr)
-            tr->saveState(s);
-        driver.saveState(s);
+    const core::SupervisedTarget target{
+        .top = *this,
+        .now = now,
+        .kind = "graphicionado",
+        .algorithm = algo.name(),
+        .graph = fullGraph,
+        .attachFaults =
+            [this](sim::FaultInjector *injector) {
+                hbm->setFaultInjector(injector);
+            },
+        .registerProbes =
+            [this](obs::Sampler &sampler) { registerProbes(sampler); },
     };
-
-    if (store && options.checkpoint.resume) {
-        std::string reason;
-        if (const auto loaded = store->loadLatest(&reason)) {
-            if (loaded->meta.stateVersion != kStateVersion ||
-                loaded->meta.identity != identity) {
-                warn("ignoring checkpoint %s: identity/version mismatch "
-                     "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                     store->currentPath().c_str(),
-                     loaded->meta.identity.c_str(),
-                     loaded->meta.stateVersion, identity.c_str(),
-                     kStateVersion);
-            } else {
-                sim::Deserializer d(loaded->payload);
-                restoreState(d);
-                const bool had_injector = d.readBool();
-                gds_require(had_injector == injector.has_value(),
-                            CheckpointError,
-                            "checkpoint fault-injection state does not "
-                            "match this run's fault plan");
-                if (injector)
-                    injector->restoreState(d);
-                const bool had_sampler = d.readBool();
-                gds_require(had_sampler == (options.sampler != nullptr),
-                            CheckpointError,
-                            "checkpoint sampler state does not match this "
-                            "run's sampler configuration");
-                if (options.sampler)
-                    options.sampler->restoreState(d);
-                const bool had_tracer = d.readBool();
-                obs::Tracer *tr = obs::activeTracer();
-                gds_require(had_tracer == (tr != nullptr), CheckpointError,
-                            "checkpoint tracer state does not match this "
-                            "run's tracer configuration");
-                if (tr)
-                    tr->restoreState(d);
-                driver.restoreState(d);
-                d.expectEnd();
-                inform("resumed from %s at cycle %llu%s",
-                       (loaded->usedFallback ? store->previousPath()
-                                             : store->currentPath())
-                           .c_str(),
-                       static_cast<unsigned long long>(loaded->meta.cycle),
-                       loaded->usedFallback
-                           ? " (previous checkpoint; current was invalid)"
-                           : "");
-            }
-        } else if (!reason.empty()) {
-            warn("no usable checkpoint (%s); starting clean",
-                 reason.c_str());
-        }
-    }
-
-    sim::RunHooks hooks;
-    hooks.wallBudgetSeconds = options.wallBudgetSeconds;
-    if (store) {
-        hooks.checkpointInterval = options.checkpoint.interval;
-        hooks.writeCheckpoint = [&] {
-            sim::Serializer s;
-            serializeAll(s);
-            sim::CheckpointMeta meta;
-            meta.stateVersion = kStateVersion;
-            meta.identity = identity;
-            meta.cycle = now;
-            store->write(meta, s);
-        };
-    }
-
-    const Cycle start_cycle = runStart;
-    const sim::RunReport report = driver.run(
-        [&] {
-            if (options.killAtCycle != 0 &&
-                now - start_cycle >= options.killAtCycle)
-                std::raise(SIGKILL);
-            return phase == Phase::Finished;
-        },
-        limits, hooks);
-
-    hbm->setFaultInjector(nullptr);
-
-    if (store && report.outcome == sim::RunOutcome::Completed)
-        store->removeAll();
+    const sim::RunReport report = core::supervisedRun(
+        target, options, [this] { return phase == Phase::Finished; });
 
     core::RunResult result;
     result.report = report;
     result.properties = prop;
     result.iterations = iteration;
-    result.cycles = now - start_cycle;
+    result.cycles = now - runStart;
     result.edgesProcessed =
         static_cast<std::uint64_t>(statEdgesProcessed.value());
     result.vertexUpdates =

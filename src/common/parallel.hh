@@ -8,8 +8,7 @@
  *
  * This lives in common (not harness) so that lower layers — notably the
  * parallel COO→CSR build and the chunked graph generators in src/graph —
- * can share one pool implementation without a dependency cycle;
- * harness/parallel.hh re-exports the same names for its historical users.
+ * can share one pool implementation without a dependency cycle.
  */
 
 #pragma once

@@ -7,12 +7,11 @@
 #include "core/gds_accel.hh"
 
 #include <algorithm>
-#include <csignal>
-#include <optional>
 #include <sstream>
 
 #include "common/parse.hh"
 #include "core/detail.hh"
+#include "core/supervised_run.hh"
 #include "sim/checkpoint.hh"
 
 namespace gds::core
@@ -211,176 +210,48 @@ GdsAccel::run(const RunOptions &options)
     runStart = now;
     const bool progress = common::envFlag("GDS_PROGRESS");
 
-    // Supervised execution: a Simulator drives tick() under a watchdog
-    // that distinguishes completion, deadlock, livelock and cycle-budget
-    // exhaustion instead of asserting on runaway simulations.
-    sim::Simulator driver;
-    driver.add(this);
-    if (options.sampler) {
-        if (options.sampler->probeCount() == 0)
-            registerProbes(*options.sampler);
-        driver.setSampler(options.sampler);
-    }
-    driver.setTracer(obs::activeTracer(), options.traceCounterInterval);
-    sim::RunLimits limits;
-    if (options.cycleBudget != 0)
-        limits.maxCycles = options.cycleBudget;
-    else
-        limits.maxCycles = 50'000'000'000ULL;
-    if (options.stallCycles != 0)
-        limits.stallCycles = options.stallCycles;
-    // Fast-forward is cycle-exact but incompatible with the per-cycle
-    // heartbeat (its modulo would miss skipped boundaries) and pointless
-    // under perfect memory (dispatch materializes records on demand, so
-    // waits never become provable).
-    limits.fastForward = options.fastForward && !progress &&
-                         !common::envFlag("GDS_NO_FASTFORWARD") &&
-                         !perfectMem;
-
-    std::optional<sim::FaultInjector> injector;
-    if (options.faults.any()) {
-        injector.emplace(options.faults); // throws ConfigError if invalid
-        hbm->setFaultInjector(&*injector);
-        xbar->setFaultInjector(&*injector);
-    }
-
-    // Checkpoint wiring. The payload is the accelerator (plus HBM and
-    // crossbar), then the optional fault/sampler/tracer state, then the
-    // driver — one fixed order on both sides.
-    constexpr std::uint32_t kStateVersion = 1;
-    std::optional<sim::CheckpointStore> store;
-    std::string identity;
-    if (!options.checkpoint.dir.empty()) {
-        identity = gds::detail::vformat(
-            "graphdyns|%s|V=%u|E=%llu|src=%u|%s", algo.name().c_str(),
-            v_count,
-            static_cast<unsigned long long>(fullGraph.numEdges()),
-            options.source, options.checkpoint.identity.c_str());
-        store.emplace(options.checkpoint.dir, options.checkpoint.basename);
-    }
-
-    const auto serializeAll = [&](sim::Serializer &s) {
-        saveState(s);
-        s.writeBool(injector.has_value());
-        if (injector)
-            injector->saveState(s);
-        s.writeBool(options.sampler != nullptr);
-        if (options.sampler)
-            options.sampler->saveState(s);
-        obs::Tracer *tr = obs::activeTracer();
-        s.writeBool(tr != nullptr);
-        if (tr)
-            tr->saveState(s);
-        driver.saveState(s);
+    const SupervisedTarget target{
+        .top = *this,
+        .now = now,
+        .kind = "graphdyns",
+        .algorithm = algo.name(),
+        .graph = fullGraph,
+        .attachFaults =
+            [this](sim::FaultInjector *injector) {
+                hbm->setFaultInjector(injector);
+                xbar->setFaultInjector(injector);
+            },
+        .registerProbes =
+            [this](obs::Sampler &sampler) { registerProbes(sampler); },
+        // Fast-forward is cycle-exact but incompatible with the per-cycle
+        // heartbeat (its modulo would miss skipped boundaries) and
+        // pointless under perfect memory (dispatch materializes records on
+        // demand, so waits never become provable).
+        .allowFastForward = !progress && !perfectMem,
     };
-
-    if (store && options.checkpoint.resume) {
-        std::string reason;
-        if (const auto loaded = store->loadLatest(&reason)) {
-            if (loaded->meta.stateVersion != kStateVersion ||
-                loaded->meta.identity != identity) {
-                warn("ignoring checkpoint %s: identity/version mismatch "
-                     "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                     store->currentPath().c_str(),
-                     loaded->meta.identity.c_str(),
-                     loaded->meta.stateVersion, identity.c_str(),
-                     kStateVersion);
-            } else {
-                sim::Deserializer d(loaded->payload);
-                restoreState(d);
-                const bool had_injector = d.readBool();
-                gds_require(had_injector == injector.has_value(),
-                            CheckpointError,
-                            "checkpoint fault-injection state does not "
-                            "match this run's fault plan");
-                if (injector)
-                    injector->restoreState(d);
-                const bool had_sampler = d.readBool();
-                gds_require(had_sampler == (options.sampler != nullptr),
-                            CheckpointError,
-                            "checkpoint sampler state does not match this "
-                            "run's sampler configuration");
-                if (options.sampler)
-                    options.sampler->restoreState(d);
-                const bool had_tracer = d.readBool();
-                obs::Tracer *tr = obs::activeTracer();
-                gds_require(had_tracer == (tr != nullptr), CheckpointError,
-                            "checkpoint tracer state does not match this "
-                            "run's tracer configuration");
-                if (tr)
-                    tr->restoreState(d);
-                driver.restoreState(d);
-                d.expectEnd();
-                inform("resumed from %s at cycle %llu%s",
-                       (loaded->usedFallback ? store->previousPath()
-                                             : store->currentPath())
-                           .c_str(),
-                       static_cast<unsigned long long>(loaded->meta.cycle),
-                       loaded->usedFallback
-                           ? " (previous checkpoint; current was invalid)"
-                           : "");
-            }
-        } else if (!reason.empty()) {
-            warn("no usable checkpoint (%s); starting clean",
-                 reason.c_str());
+    const sim::RunReport report = supervisedRun(target, options, [&] {
+        // Diagnostic heartbeat for long runs (GDS_PROGRESS=1).
+        if (progress && now != runStart &&
+            (now - runStart) % 1'000'000 == 0) {
+            inform("cycle=%llu iter=%u slice=%u phase=%d "
+                   "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
+                   static_cast<unsigned long long>(now - runStart),
+                   iteration, curSlice, static_cast<int>(phase),
+                   static_cast<unsigned long long>(sc.recordsDispatched),
+                   static_cast<unsigned long long>(sc.recordsTotal),
+                   static_cast<unsigned long long>(sc.edgesReduced),
+                   static_cast<unsigned long long>(sc.expectedEdges),
+                   static_cast<unsigned long long>(ap.groupsCompleted),
+                   ap.groups.size());
         }
-    }
-
-    sim::RunHooks hooks;
-    hooks.wallBudgetSeconds = options.wallBudgetSeconds;
-    if (store) {
-        hooks.checkpointInterval = options.checkpoint.interval;
-        hooks.writeCheckpoint = [&] {
-            sim::Serializer s;
-            serializeAll(s);
-            sim::CheckpointMeta meta;
-            meta.stateVersion = kStateVersion;
-            meta.identity = identity;
-            meta.cycle = now;
-            store->write(meta, s);
-        };
-    }
-
-    const Cycle start_cycle = runStart;
-    const sim::RunReport report = driver.run(
-        [&] {
-            // Diagnostic heartbeat for long runs (GDS_PROGRESS=1).
-            if (progress && now != start_cycle &&
-                (now - start_cycle) % 1'000'000 == 0) {
-                inform("cycle=%llu iter=%u slice=%u phase=%d "
-                       "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
-                       static_cast<unsigned long long>(now - start_cycle),
-                       iteration, curSlice, static_cast<int>(phase),
-                       static_cast<unsigned long long>(
-                           sc.recordsDispatched),
-                       static_cast<unsigned long long>(sc.recordsTotal),
-                       static_cast<unsigned long long>(sc.edgesReduced),
-                       static_cast<unsigned long long>(sc.expectedEdges),
-                       static_cast<unsigned long long>(ap.groupsCompleted),
-                       ap.groups.size());
-            }
-            // Crash injection for the checkpoint tests: die without any
-            // cleanup, exactly like an external SIGKILL preemption.
-            if (options.killAtCycle != 0 &&
-                now - start_cycle >= options.killAtCycle)
-                std::raise(SIGKILL);
-            return phase == Phase::Finished;
-        },
-        limits, hooks);
-
-    hbm->setFaultInjector(nullptr);
-    xbar->setFaultInjector(nullptr);
-
-    // A completed run leaves nothing to resume; drop its checkpoints so a
-    // later run under the same base name starts clean.
-    if (store && report.outcome == sim::RunOutcome::Completed)
-        store->removeAll();
+        return phase == Phase::Finished;
+    });
 
     RunResult result;
     result.report = report;
     result.properties = prop;
     result.iterations = iteration;
-    result.cycles = now - start_cycle;
+    result.cycles = now - runStart;
     result.edgesProcessed =
         static_cast<std::uint64_t>(statEdgesProcessed.value());
     result.vertexUpdates =

@@ -14,13 +14,13 @@
 #include <thread>
 
 #include "common/fsio.hh"
+#include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/rss.hh"
 #include "energy/energy_model.hh"
 #include "graph/loader.hh"
 #include "harness/dataset_pool.hh"
 #include "harness/manifest.hh"
-#include "harness/parallel.hh"
 #include "harness/walltime.hh"
 #include "stats/json.hh"
 
@@ -275,11 +275,6 @@ baseRecord(const std::string &system, algo::AlgorithmId id,
     return r;
 }
 
-} // namespace
-
-namespace
-{
-
 /**
  * Resolve the effective RunOptions for one cell: per-job CellPolicy
  * overrides first, the env-driven defaults (GDS_CELL_BUDGET & friends)
@@ -308,6 +303,43 @@ cellRunOptions(algo::AlgorithmId algorithm, const std::string &dataset,
     return options;
 }
 
+/**
+ * Simulate one accelerator cell into @p r: the sim/validate wall split,
+ * the watchdog status and the counters every accelerator reports
+ * (Graphicionado's schedulingOps and updatesSkipped are 0).
+ * @p energy_joules prices the run and is timed as validation.
+ */
+template <typename Accel, typename EnergyFn>
+RunRecord
+simulateCell(RunRecord r, Accel &accel, const core::RunOptions &options,
+             const EnergyFn &energy_joules)
+{
+    core::RunResult run;
+    {
+        const ScopedWallTimer timer(r.wallSimSeconds);
+        run = accel.run(options);
+    }
+
+    double validate_seconds = 0.0;
+    const ScopedWallTimer validate_timer(validate_seconds);
+    if (!run.completed())
+        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
+    r.iterations = run.iterations;
+    r.seconds = static_cast<double>(run.cycles) * 1e-9;
+    r.gteps = run.gteps();
+    r.memoryBytes = static_cast<double>(run.memoryBytes);
+    r.footprintBytes = static_cast<double>(run.footprintBytes);
+    r.bandwidthUtilization = run.bandwidthUtilization;
+    r.energyJoules = energy_joules(run);
+    r.schedulingOps = static_cast<double>(run.schedulingOps);
+    r.atomicStalls = static_cast<double>(run.atomicStalls);
+    r.updatesSkipped = static_cast<double>(run.updatesSkipped);
+    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
+    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
+    r.wallValidateSeconds = validate_timer.elapsedSeconds();
+    return r;
+}
+
 } // namespace
 
 RunRecord
@@ -323,45 +355,19 @@ runGds(algo::AlgorithmId algorithm, const std::string &dataset,
 
     auto a = algo::makeAlgorithm(algorithm);
     core::GdsAccel accel(cfg, g, *a);
-    const std::string hash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, hash, policy);
-
-    double sim_seconds = 0.0;
-    double validate_seconds = 0.0;
-    core::RunResult run;
-    {
-        const ScopedWallTimer timer(sim_seconds);
-        run = accel.run(options);
-    }
-
-    const ScopedWallTimer validate_timer(validate_seconds);
-    energy::EnergyModel energy_model;
-    const auto energy = energy_model.gdsEnergy(
-        cfg, run.cycles, run.memoryBytes);
-
     RunRecord r = baseRecord(variant == GdsVariant::Full
                                  ? "GraphDynS"
                                  : "GraphDynS-" + variantName(variant),
                              algorithm, dataset);
-    r.configHash = hash;
-    r.wallSimSeconds = sim_seconds;
-    if (!run.completed())
-        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
-    r.iterations = run.iterations;
-    r.seconds = static_cast<double>(run.cycles) * 1e-9;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = energy.totalJ();
-    r.schedulingOps = static_cast<double>(run.schedulingOps);
-    r.atomicStalls = static_cast<double>(run.atomicStalls);
-    r.updatesSkipped = static_cast<double>(run.updatesSkipped);
-    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
-    r.wallValidateSeconds = validate_timer.elapsedSeconds();
-    return r;
+    r.configHash = configHash(cfg);
+    const core::RunOptions options =
+        cellRunOptions(algorithm, dataset, g, r.configHash, policy);
+    return simulateCell(std::move(r), accel, options,
+                        [&](const core::RunResult &run) {
+                            return energy::EnergyModel{}
+                                .gdsEnergy(cfg, run.cycles, run.memoryBytes)
+                                .totalJ();
+                        });
 }
 
 RunRecord
@@ -375,40 +381,16 @@ runGraphicionado(algo::AlgorithmId algorithm, const std::string &dataset,
 
     auto a = algo::makeAlgorithm(algorithm);
     baseline::GraphicionadoAccel accel(cfg, g, *a);
-    const std::string hash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, hash, policy);
-
-    double sim_seconds = 0.0;
-    double validate_seconds = 0.0;
-    core::RunResult run;
-    {
-        const ScopedWallTimer timer(sim_seconds);
-        run = accel.run(options);
-    }
-
-    const ScopedWallTimer validate_timer(validate_seconds);
-    energy::EnergyModel energy_model;
-    const auto energy = energy_model.graphicionadoEnergy(
-        cfg, run.cycles, run.memoryBytes);
-
     RunRecord r = baseRecord("Graphicionado", algorithm, dataset);
-    r.configHash = hash;
-    r.wallSimSeconds = sim_seconds;
-    if (!run.completed())
-        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
-    r.iterations = run.iterations;
-    r.seconds = static_cast<double>(run.cycles) * 1e-9;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = energy.totalJ();
-    r.atomicStalls = static_cast<double>(run.atomicStalls);
-    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
-    r.wallValidateSeconds = validate_timer.elapsedSeconds();
-    return r;
+    r.configHash = configHash(cfg);
+    const core::RunOptions options =
+        cellRunOptions(algorithm, dataset, g, r.configHash, policy);
+    return simulateCell(
+        std::move(r), accel, options, [&](const core::RunResult &run) {
+            return energy::EnergyModel{}
+                .graphicionadoEnergy(cfg, run.cycles, run.memoryBytes)
+                .totalJ();
+        });
 }
 
 RunRecord
@@ -541,7 +523,7 @@ evaluationMatrix(ResultCache &cache)
                     active);
     };
 
-    parallelFor(cells.size(), jobCount(), run_one);
+    common::parallelFor(cells.size(), common::jobCount(), run_one);
 
     // Provenance manifest: one entry per cell, in the serial traversal
     // order (the records vector), so manifests diff cleanly across runs.

@@ -175,6 +175,7 @@ class Hbm : public sim::Component
      * according to the injector's plan.
      */
     void setFaultInjector(sim::FaultInjector *injector) { fault = injector; }
+    const sim::FaultInjector *faultInjector() const { return fault; }
 
     const HbmConfig &config() const { return cfg; }
 

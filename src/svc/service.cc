@@ -148,7 +148,7 @@ SimService::SimService(ServiceConfig service_config)
                        return static_cast<double>(common::peakRssBytes());
                    });
 
-    threads = std::make_unique<harness::ThreadPool>(config.workers);
+    threads = std::make_unique<common::ThreadPool>(config.workers);
 }
 
 SimService::~SimService()

@@ -30,6 +30,7 @@
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
+#include "expect_error.hh"
 
 namespace gds
 {
@@ -232,26 +233,117 @@ TEST_F(CheckpointTest, MismatchedIdentityStartsCleanAndStillCompletes)
 {
     const graph::Csr g = testGraph();
     const algo::AlgorithmId id = algo::AlgorithmId::Bfs;
-    const Scenario sc;
-    const RunArtifacts ref = runScenario(sc, g, id, {});
-    ASSERT_TRUE(ref.result.completed());
+    for (const bool gio : {false, true}) {
+        Scenario sc;
+        sc.graphicionado = gio;
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
 
+        core::CheckpointOptions ck;
+        ck.dir = "ckpt";
+        ck.basename = "ident";
+        ck.identity = "config-A";
+        ck.interval = std::max<Cycle>(1, ref.result.cycles / 4);
+        const RunArtifacts cut =
+            runScenario(sc, g, id, ck, ref.result.cycles / 2);
+        ASSERT_FALSE(cut.result.completed());
+
+        // A different identity salt refuses the checkpoint (with a
+        // warning) and restarts from cycle zero — never resumes foreign
+        // state.
+        ck.identity = "config-B";
+        ck.resume = true;
+        ck.interval = 0;
+        const RunArtifacts resumed = runScenario(sc, g, id, ck);
+        expectExactMatch(resumed, ref);
+    }
+}
+
+TEST_F(CheckpointTest, OtherAcceleratorsCheckpointStartsClean)
+{
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Bfs;
+    Scenario gds;
+    Scenario gio;
+    gio.graphicionado = true;
+    const RunArtifacts gds_ref = runScenario(gds, g, id, {});
+    const RunArtifacts gio_ref = runScenario(gio, g, id, {});
+    ASSERT_TRUE(gds_ref.result.completed());
+
+    // GraphDynS leaves a checkpoint under the shared base name...
     core::CheckpointOptions ck;
     ck.dir = "ckpt";
-    ck.basename = "ident";
-    ck.identity = "config-A";
-    ck.interval = std::max<Cycle>(1, ref.result.cycles / 4);
-    const RunArtifacts cut =
-        runScenario(sc, g, id, ck, ref.result.cycles / 2);
-    ASSERT_FALSE(cut.result.completed());
+    ck.basename = "shared";
+    ck.interval = std::max<Cycle>(1, gds_ref.result.cycles / 4);
+    ASSERT_FALSE(runScenario(gds, g, id, ck, gds_ref.result.cycles / 2)
+                     .result.completed());
+    ASSERT_TRUE(std::filesystem::exists(
+        sim::CheckpointStore("ckpt", "shared").currentPath()));
 
-    // A different identity salt refuses the checkpoint (with a warning)
-    // and restarts from cycle zero — never resumes foreign state.
-    ck.identity = "config-B";
+    // ...which Graphicionado refuses by identity and runs from scratch.
     ck.resume = true;
     ck.interval = 0;
-    const RunArtifacts resumed = runScenario(sc, g, id, ck);
-    expectExactMatch(resumed, ref);
+    expectExactMatch(runScenario(gio, g, id, ck), gio_ref);
+}
+
+TEST_F(CheckpointTest, ResumeRefusesMismatchedFaultSamplerOrTracerState)
+{
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Bfs;
+    for (const bool gio : {false, true}) {
+        Scenario sc;
+        sc.graphicionado = gio;
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
+
+        // A checkpoint with no fault injector, sampler or tracer state.
+        core::CheckpointOptions ck;
+        ck.dir = "ckpt";
+        ck.basename = sc.tag();
+        ck.interval = std::max<Cycle>(1, ref.result.cycles / 4);
+        ASSERT_FALSE(runScenario(sc, g, id, ck, ref.result.cycles / 2)
+                         .result.completed());
+        ck.resume = true;
+        ck.interval = 0;
+
+        // A resume that attaches any one of them is refused.
+        for (const std::string extra : {"fault plan", "sampler", "tracer"}) {
+            SCOPED_TRACE(extra);
+            Scenario with_faults = sc;
+            with_faults.faults = extra == "fault plan";
+            core::RunOptions o = baseOptions(with_faults, g);
+            o.checkpoint = ck;
+            obs::Sampler sampler;
+            if (extra == "sampler") {
+                sampler.setInterval(kSampleInterval);
+                o.sampler = &sampler;
+            }
+            obs::Tracer tracer;
+            std::optional<obs::ScopedActiveTracer> trace_scope;
+            if (extra == "tracer")
+                trace_scope.emplace(&tracer);
+
+            auto a = algo::makeAlgorithm(id);
+            const auto expect_refused = [&](auto &accel) {
+                EXPECT_TYPED_ERROR(accel.run(o), CheckpointError, extra);
+                // The injector died with the run: the HBM must not keep
+                // pointing at it.
+                EXPECT_EQ(accel.hbmDevice().faultInjector(), nullptr);
+            };
+            if (gio) {
+                baseline::GraphicionadoAccel accel({}, g, *a);
+                expect_refused(accel);
+            } else {
+                core::GdsAccel accel({}, g, *a);
+                expect_refused(accel);
+            }
+        }
+
+        // A refused resume leaves the checkpoint for a matching run.
+        expectExactMatch(runScenario(sc, g, id, ck), ref);
+    }
 }
 
 TEST_F(CheckpointTest, CorruptCheckpointFilesAreRejectedWithTypedErrors)

@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 
 namespace gds::harness
 {
@@ -37,20 +37,20 @@ keyOf(const char *prefix, std::size_t i)
 TEST(Parallel, JobCountReadsEnvWithFallback)
 {
     ::setenv("GDS_JOBS", "3", 1);
-    EXPECT_EQ(jobCount(), 3u);
+    EXPECT_EQ(common::jobCount(), 3u);
     ::setenv("GDS_JOBS", "0", 1); // invalid: falls back, stays positive
-    EXPECT_GE(jobCount(), 1u);
+    EXPECT_GE(common::jobCount(), 1u);
     ::setenv("GDS_JOBS", "junk", 1);
-    EXPECT_GE(jobCount(), 1u);
+    EXPECT_GE(common::jobCount(), 1u);
     ::unsetenv("GDS_JOBS");
-    EXPECT_GE(jobCount(), 1u);
+    EXPECT_GE(common::jobCount(), 1u);
 }
 
 TEST(Parallel, ParallelForCoversEveryIndexExactlyOnce)
 {
     constexpr std::size_t n = 500;
     std::vector<std::atomic<int>> hits(n);
-    parallelFor(n, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
+    common::parallelFor(n, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -58,19 +58,19 @@ TEST(Parallel, ParallelForCoversEveryIndexExactlyOnce)
 TEST(Parallel, ParallelForIsSerialInOrderWithOneJob)
 {
     std::vector<std::size_t> order;
-    parallelFor(5, 1, [&](std::size_t i) { order.push_back(i); });
+    common::parallelFor(5, 1, [&](std::size_t i) { order.push_back(i); });
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Parallel, ParallelForPropagatesTaskException)
 {
     std::atomic<int> completed{0};
-    EXPECT_THROW(parallelFor(64, 4,
-                             [&](std::size_t i) {
-                                 if (i == 17)
-                                     throw ConfigError("boom");
-                                 completed.fetch_add(1);
-                             }),
+    EXPECT_THROW(common::parallelFor(64, 4,
+                                     [&](std::size_t i) {
+                                         if (i == 17)
+                                             throw ConfigError("boom");
+                                         completed.fetch_add(1);
+                                     }),
                  ConfigError);
     // The queue drained before rethrow: every other index still ran.
     EXPECT_EQ(completed.load(), 63);
@@ -78,7 +78,7 @@ TEST(Parallel, ParallelForPropagatesTaskException)
 
 TEST(Parallel, ThreadPoolDrainsAndIsReusableAfterWait)
 {
-    ThreadPool pool(4);
+    common::ThreadPool pool(4);
     EXPECT_EQ(pool.workerCount(), 4u);
     std::atomic<int> sum{0};
     for (int i = 0; i < 100; ++i)
@@ -122,7 +122,7 @@ TEST_F(ParallelHarnessTest, ConcurrentStoresOnDistinctKeys)
     constexpr std::size_t n = 64;
     {
         ResultCache cache;
-        parallelFor(n, 8, [&](std::size_t i) {
+        common::parallelFor(n, 8, [&](std::size_t i) {
             RunRecord r;
             r.system = "S";
             r.algorithm = "A";
@@ -149,7 +149,7 @@ TEST_F(ParallelHarnessTest, ConcurrentGetOrRunOnTheSameKeyIsConsistent)
     std::vector<RunRecord> results(n);
     {
         ResultCache cache;
-        parallelFor(n, 8, [&](std::size_t i) {
+        common::parallelFor(n, 8, [&](std::size_t i) {
             results[i] = cache.getOrRun("shared", [&] {
                 calls.fetch_add(1);
                 RunRecord r;

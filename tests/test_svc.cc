@@ -24,12 +24,12 @@
 
 #include "common/jsonio.hh"
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/socket.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "sim/simulator.hh"
 #include "svc/server.hh"
 #include "svc/service.hh"
@@ -416,7 +416,7 @@ TEST(SvcParse, EnvKnobsFallBackInsteadOfWrapping)
 
     // GDS_JOBS=-1 must not become ~4 billion workers.
     ::setenv("GDS_JOBS", "-1", 1);
-    const unsigned jobs = harness::jobCount();
+    const unsigned jobs = common::jobCount();
     EXPECT_GE(jobs, 1u);
     EXPECT_LE(jobs, 4096u);
     ::unsetenv("GDS_JOBS");
