@@ -66,7 +66,8 @@ namespace
 struct Options
 {
     std::optional<algo::AlgorithmId> algorithm;
-    std::string system = "gds";
+    /** The system to simulate; unset means --system all. */
+    std::optional<harness::SystemId> system = harness::SystemId::GraphDynS;
     std::string dataset;
     std::string graphFile;
     std::optional<unsigned> rmatScale;
@@ -109,20 +110,14 @@ usage(const char *argv0)
     std::exit(1);
 }
 
-algo::AlgorithmId
-parseAlgo(const std::string &name)
+/** The parsed value, or the failure as a typed SimError (ConfigError). */
+template <typename T>
+T
+valueOrThrow(const Result<T> &r)
 {
-    if (name == "bfs")
-        return algo::AlgorithmId::Bfs;
-    if (name == "sssp")
-        return algo::AlgorithmId::Sssp;
-    if (name == "cc")
-        return algo::AlgorithmId::Cc;
-    if (name == "sswp")
-        return algo::AlgorithmId::Sswp;
-    if (name == "pr")
-        return algo::AlgorithmId::Pr;
-    fatal("unknown algorithm '%s'", name.c_str());
+    if (!r.ok())
+        throwStatus(r.status());
+    return r.value();
 }
 
 Options
@@ -159,10 +154,14 @@ parseArgs(int argc, char **argv)
             return common::requireU64(arg, need_value(), min_v, max_v);
         };
         if (arg == "--algo")
-            opts.algorithm = parseAlgo(need_value());
-        else if (arg == "--system")
-            opts.system = need_value();
-        else if (arg == "--dataset")
+            opts.algorithm = valueOrThrow(algo::parseAlgorithm(need_value()));
+        else if (arg == "--system") {
+            const std::string name = need_value();
+            if (name == "all")
+                opts.system.reset();
+            else
+                opts.system = valueOrThrow(harness::parseSystem(name));
+        } else if (arg == "--dataset")
             opts.dataset = need_value();
         else if (arg == "--graph")
             opts.graphFile = need_value();
@@ -287,7 +286,10 @@ main(int argc, char **argv)
     std::printf("%s from vertex %u, iteration cap %u\n\n",
                 algo::algorithmName(algorithm_id).c_str(), source, iters);
 
-    const bool all = opts.system == "all";
+    const bool all = !opts.system;
+    auto simulates = [&](harness::SystemId id) {
+        return all || *opts.system == id;
+    };
     energy::EnergyModel energy_model;
 
     // Telemetry: one tracer serves every simulated system (tracks are
@@ -339,7 +341,7 @@ main(int argc, char **argv)
                         : "; checkpoint written (rerun with --resume)");
     };
 
-    if (all || opts.system == "gds") {
+    if (simulates(harness::SystemId::GraphDynS)) {
         core::GdsConfig cfg = opts.gdsConfig;
         cfg.maxIterations = iters;
         auto a = algo::makeAlgorithm(algorithm_id);
@@ -372,7 +374,7 @@ main(int argc, char **argv)
         if (opts.dumpStats)
             accel.statsGroup().dump(std::cout);
     }
-    if (all || opts.system == "graphicionado") {
+    if (simulates(harness::SystemId::Graphicionado)) {
         baseline::GraphicionadoConfig cfg;
         cfg.maxIterations = iters;
         auto a = algo::makeAlgorithm(algorithm_id);
@@ -400,7 +402,7 @@ main(int argc, char **argv)
         if (opts.dumpStats)
             accel.statsGroup().dump(std::cout);
     }
-    if (all || opts.system == "gunrock") {
+    if (simulates(harness::SystemId::Gunrock)) {
         baseline::GunrockConfig cfg;
         cfg.maxIterations = iters;
         auto a = algo::makeAlgorithm(algorithm_id);
@@ -410,10 +412,6 @@ main(int argc, char **argv)
                     static_cast<double>(r.memoryBytes),
                     r.bandwidthUtilization, r.energyJoules);
     }
-    if (!all && opts.system != "gds" && opts.system != "graphicionado" &&
-        opts.system != "gunrock")
-        fatal("unknown system '%s'", opts.system.c_str());
-
     if (tracing) {
         // An aborted run (watchdog, cycle budget) can leave phase spans
         // open; close them so the trace stays well-nested.

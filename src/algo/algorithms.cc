@@ -5,6 +5,7 @@
 
 #include "algo/vcpm.hh"
 #include "common/error.hh"
+#include "common/parse.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -289,6 +290,18 @@ std::string
 algorithmName(AlgorithmId id)
 {
     return makeAlgorithm(id)->name();
+}
+
+Result<AlgorithmId>
+parseAlgorithm(const std::string &name)
+{
+    const std::string s = common::lowercase(name);
+    for (const AlgorithmId id : allAlgorithms)
+        if (s == common::lowercase(algorithmName(id)))
+            return id;
+    return Status::failure(ErrorCode::Config,
+                           "unknown algorithm '" + name +
+                               "' (want bfs, sssp, cc, sswp or pr)");
 }
 
 VertexId

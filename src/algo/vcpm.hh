@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "common/error.hh"
 #include "common/types.hh"
 #include "graph/csr.hh"
 
@@ -116,6 +117,13 @@ std::unique_ptr<VcpmAlgorithm> makeAlgorithm(AlgorithmId id);
 
 /** Short display tag ("BFS", "SSSP", ...). */
 std::string algorithmName(AlgorithmId id);
+
+/**
+ * Parse an algorithm name, case-insensitively ("bfs", "SSSP", ...): the
+ * one parser behind the CLI's --algo and the daemon's "algorithm" field.
+ * An unknown name is a Config failure listing the valid ones.
+ */
+Result<AlgorithmId> parseAlgorithm(const std::string &name);
 
 /**
  * Deterministic default source: the highest-out-degree vertex (guarantees

@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <system_error>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds
 {
@@ -22,14 +22,14 @@ fsyncPath(const std::string &path, const char *what)
 {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
-        warn("cannot open %s '%s' for fsync: %s", what, path.c_str(),
-             std::strerror(errno));
+        log::warnf("fs", {}, "cannot open %s '%s' for fsync: %s", what,
+                   path.c_str(), std::strerror(errno));
         return false;
     }
     const bool ok = ::fsync(fd) == 0;
     if (!ok) {
-        warn("fsync of %s '%s' failed: %s", what, path.c_str(),
-             std::strerror(errno));
+        log::warnf("fs", {}, "fsync of %s '%s' failed: %s", what, path.c_str(),
+                   std::strerror(errno));
     }
     ::close(fd);
     return ok;
@@ -61,8 +61,8 @@ durableRename(const std::string &from, const std::string &to)
     std::error_code ec;
     std::filesystem::rename(from, to, ec);
     if (ec) {
-        warn("cannot rename '%s' to '%s': %s", from.c_str(), to.c_str(),
-             ec.message().c_str());
+        log::warnf("fs", {}, "cannot rename '%s' to '%s': %s", from.c_str(),
+                   to.c_str(), ec.message().c_str());
         return false;
     }
     return fsyncParentDir(to);

@@ -1,15 +1,17 @@
 /**
  * @file
- * Minimal RFC 8259 JSON reader for the simulation service's request
- * parsing (the writer side lives in stats/json.hh, which emits JSON but
- * never reads it). Builds a JsonValue tree; numbers additionally retain
- * their raw lexeme so integer fields can be re-parsed through the strict
- * common/parse.hh helpers — one checked numeric path for CLI flags and
- * daemon requests alike.
+ * The project's one JSON codec: a minimal RFC 8259 reader (daemon
+ * requests, and the tests that prove emitted traces and manifests load)
+ * plus the one string escaper, jsonQuote(), that every JSON writer
+ * (stats/json.hh's emitters, the log layer) goes through. The reader
+ * builds a JsonValue tree; numbers additionally retain their raw lexeme
+ * so integer fields can be re-parsed through the strict common/parse.hh
+ * helpers — one checked numeric path for CLI flags and daemon requests
+ * alike.
  *
  * Not a general-purpose JSON library: no streaming, no comments, inputs
- * are single request lines. Depth is bounded to keep adversarial inputs
- * from recursing the stack away.
+ * are whole in-memory strings. Depth is bounded to keep adversarial
+ * inputs from recursing the stack away.
  */
 
 #pragma once
@@ -87,7 +89,8 @@ class JsonValue
  */
 Result<JsonValue> parseJson(const std::string &text);
 
-/** Escape + quote @p s as a JSON string (writer-side convenience). */
+/** Escape + quote @p s as a JSON string (RFC 8259: `"`, `\\` and
+ *  every control character escaped; other bytes pass through). */
 std::string jsonQuote(const std::string &s);
 
 } // namespace gds::common

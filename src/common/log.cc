@@ -1,8 +1,6 @@
 #include "common/log.hh"
 
 #include <cstdarg>
-#include <cstdio>
-#include <vector>
 
 #include "common/jsonio.hh"
 #include "common/parse.hh"
@@ -15,7 +13,7 @@ namespace
 
 /**
  * Knob parsing runs inside a function-local-static initializer, where
- * calling warn() would recurse back into threshold() and deadlock the
+ * calling warnf() would recurse back into threshold() and deadlock the
  * static-init guard. Complaints about malformed knob values are instead
  * emitted directly through the raw serialized-stderr path.
  */
@@ -142,29 +140,56 @@ write(Level level, const std::string &subsys, const Fields &fields,
     detail::emitRawLine(line);
 }
 
-void
-writef(Level level, const std::string &subsys, const Fields &fields,
-       const char *fmt, ...)
+namespace
+{
+
+__attribute__((format(printf, 4, 0))) void
+vwritef(Level level, const std::string &subsys, const Fields &fields,
+        const char *fmt, va_list args)
 {
     // Cheap early-out before formatting: dropped lines cost one compare.
     if (static_cast<int>(level) < static_cast<int>(threshold()))
         return;
+    write(level, subsys, fields, detail::vformat(fmt, args));
+}
+
+} // namespace
+
+void
+writef(Level level, const std::string &subsys, const Fields &fields,
+       const char *fmt, ...)
+{
     va_list args;
     va_start(args, fmt);
-    va_list args_copy;
-    va_copy(args_copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    vwritef(level, subsys, fields, fmt, args);
     va_end(args);
-    std::string msg;
-    if (needed < 0) {
-        msg = fmt;
-    } else {
-        std::vector<char> buf(static_cast<std::size_t>(needed) + 1);
-        std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
-        msg.assign(buf.data(), static_cast<std::size_t>(needed));
-    }
-    va_end(args_copy);
-    write(level, subsys, fields, msg);
+}
+
+void
+infof(const std::string &subsys, const Fields &fields, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    vwritef(Level::Info, subsys, fields, fmt, args);
+    va_end(args);
+}
+
+void
+warnf(const std::string &subsys, const Fields &fields, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    vwritef(Level::Warn, subsys, fields, fmt, args);
+    va_end(args);
+}
+
+void
+errorf(const std::string &subsys, const Fields &fields, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    vwritef(Level::Error, subsys, fields, fmt, args);
+    va_end(args);
 }
 
 } // namespace gds::log

@@ -3,27 +3,25 @@
  * Structured, leveled logging for the service and harness layers.
  *
  * Every line the project emits on stderr funnels through one
- * mutex-serialized chokepoint (common/logging's emit path), so concurrent
- * workers never interleave partial lines. This layer adds, on top of that
- * chokepoint:
+ * mutex-serialized chokepoint (detail::emitRawLine in common/logging), so
+ * concurrent workers never interleave partial lines. This layer is the
+ * one logging front-end on top of that chokepoint and adds:
  *
  *  - severity levels (debug < info < warn < error) with a process-wide
  *    threshold read once from GDS_LOG_LEVEL (default "info");
  *  - two output formats selected by GDS_LOG_FORMAT: "human" (the
- *    traditional `warn: message (key=value)` lines) and "json" (one JSON
- *    object per line, machine-ingestable by log shippers);
- *  - a per-subsystem tag ("svc", "harness", "daemon", ...) so a fleet of
- *    daemons can be filtered by layer; and
+ *    traditional `warn: [subsys] message (key=value)` lines) and "json"
+ *    (one JSON object per line, machine-ingestable by log shippers);
+ *  - a per-subsystem tag ("harness", "obs", "config", "fs", "sim",
+ *    "ckpt", "gds", "svc", "cli") so a fleet of daemons can be filtered
+ *    by layer; and
  *  - structured correlation fields — most importantly the per-job "job"
  *    (jobId) and "configHash" fields the simulation service attaches, so
  *    one job's queue/load/sim/validate lifecycle can be grepped out of a
  *    busy daemon's log.
  *
- * The legacy warn()/inform() macros (common/logging.hh) are not going
- * away: their backend now routes through this layer, so every existing
- * call site inherits level filtering and the JSON format for free. New
- * code in the service/harness layers should prefer the field-carrying
- * helpers below.
+ * Only panic()/fatal()/gds_assert() (common/logging) and the GDS_DPRINTF
+ * debug trace (common/debug) emit outside this layer.
  *
  * Both knobs are parsed through common/parse (GDS_LOG_LEVEL /
  * GDS_LOG_FORMAT are read via parseEnvStr, honoring the
@@ -83,8 +81,7 @@ using Fields = std::vector<Field>;
 /**
  * Render one line in the human format:
  * `<level>: [<subsys>] <msg> (k=v, k=v)`. The subsystem bracket and the
- * field list are omitted when empty, which makes plain warn()/inform()
- * output byte-identical to the historical `warn: <msg>` lines.
+ * field list are omitted when empty.
  */
 std::string formatHuman(Level level, const std::string &subsys,
                         const std::string &msg, const Fields &fields);
@@ -109,38 +106,13 @@ void write(Level level, const std::string &subsys, const Fields &fields,
 void writef(Level level, const std::string &subsys, const Fields &fields,
             const char *fmt, ...) __attribute__((format(printf, 4, 5)));
 
-// Convenience wrappers, one per level.
+// Convenience wrappers for the levels call sites use.
 
-template <typename... Args>
-void
-debugf(const std::string &subsys, const Fields &fields, const char *fmt,
-       Args... args)
-{
-    writef(Level::Debug, subsys, fields, fmt, args...);
-}
-
-template <typename... Args>
-void
-infof(const std::string &subsys, const Fields &fields, const char *fmt,
-      Args... args)
-{
-    writef(Level::Info, subsys, fields, fmt, args...);
-}
-
-template <typename... Args>
-void
-warnf(const std::string &subsys, const Fields &fields, const char *fmt,
-      Args... args)
-{
-    writef(Level::Warn, subsys, fields, fmt, args...);
-}
-
-template <typename... Args>
-void
-errorf(const std::string &subsys, const Fields &fields, const char *fmt,
-       Args... args)
-{
-    writef(Level::Error, subsys, fields, fmt, args...);
-}
+void infof(const std::string &subsys, const Fields &fields, const char *fmt,
+           ...) __attribute__((format(printf, 3, 4)));
+void warnf(const std::string &subsys, const Fields &fields, const char *fmt,
+           ...) __attribute__((format(printf, 3, 4)));
+void errorf(const std::string &subsys, const Fields &fields,
+            const char *fmt, ...) __attribute__((format(printf, 3, 4)));
 
 } // namespace gds::log

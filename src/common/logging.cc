@@ -1,11 +1,8 @@
 #include "common/logging.hh"
 
 #include <cstdarg>
-#include <cstring>
 #include <mutex>
 #include <vector>
-
-#include "common/log.hh"
 
 namespace gds
 {
@@ -31,17 +28,22 @@ vformat(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    va_list args_copy;
-    va_copy(args_copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    std::string out = vformat(fmt, args);
     va_end(args);
-    if (needed < 0) {
-        va_end(args_copy);
+    return out;
+}
+
+std::string
+vformat(const char *fmt, va_list args)
+{
+    va_list sizing;
+    va_copy(sizing, args);
+    const int needed = std::vsnprintf(nullptr, 0, fmt, sizing);
+    va_end(sizing);
+    if (needed < 0)
         return std::string(fmt);
-    }
     std::vector<char> buf(static_cast<std::size_t>(needed) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
-    va_end(args_copy);
+    std::vsnprintf(buf.data(), buf.size(), fmt, args);
     return std::string(buf.data(), static_cast<std::size_t>(needed));
 }
 
@@ -50,28 +52,6 @@ emitRawLine(const std::string &line)
 {
     const std::lock_guard<std::mutex> lock(emitMutex());
     std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-void
-emit(const char *prefix, const std::string &msg)
-{
-    // Route the legacy severity prefixes through the structured logger
-    // (common/log) so warn()/inform() call sites inherit level filtering
-    // and GDS_LOG_FORMAT=json. An empty prefix stays verbatim: it carries
-    // pre-formatted output such as CLI usage text.
-    if (std::strcmp(prefix, "warn: ") == 0) {
-        log::write(log::Level::Warn, "", {}, msg);
-        return;
-    }
-    if (std::strcmp(prefix, "info: ") == 0) {
-        log::write(log::Level::Info, "", {}, msg);
-        return;
-    }
-    if (std::strcmp(prefix, "[harness] ") == 0) {
-        log::write(log::Level::Info, "harness", {}, msg);
-        return;
-    }
-    emitRawLine(std::string(prefix) + msg);
 }
 
 void

@@ -1,12 +1,14 @@
 /**
  * @file
- * gem5-flavoured status/error reporting. panic() flags an internal simulator
- * bug and aborts; fatal() flags a user/configuration error and exits;
- * warn()/inform() report without stopping.
+ * gem5-flavoured fatal-error reporting. panic() flags an internal
+ * simulator bug and aborts; fatal() flags a user/configuration error and
+ * exits. Survivable conditions are reported through common/log
+ * (log::warnf / log::infof) with a subsystem tag.
  */
 
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,7 +22,6 @@ namespace detail
 [[noreturn]] void terminatePanic(const std::string &msg,
                                  const char *file, int line);
 [[noreturn]] void terminateFatal(const std::string &msg);
-void emit(const char *prefix, const std::string &msg);
 
 /** Emit one already-formatted line through the mutex-serialized stderr
  *  path, verbatim. The low-level chokepoint under common/log. */
@@ -29,6 +30,11 @@ void emitRawLine(const std::string &line);
 /** Minimal printf-style formatter returning a std::string. */
 std::string vformat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** vformat() over a started argument list, which it consumes the way
+ *  vprintf does; va_end stays with the caller. */
+std::string vformat(const char *fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 } // namespace detail
 
@@ -40,14 +46,6 @@ std::string vformat(const char *fmt, ...)
 /** Exit with a message: the user asked for something unsupported/invalid. */
 #define fatal(...)                                                          \
     ::gds::detail::terminateFatal(::gds::detail::vformat(__VA_ARGS__))
-
-/** Report a suspicious-but-survivable condition. */
-#define warn(...)                                                           \
-    ::gds::detail::emit("warn: ", ::gds::detail::vformat(__VA_ARGS__))
-
-/** Report normal operating status. */
-#define inform(...)                                                         \
-    ::gds::detail::emit("info: ", ::gds::detail::vformat(__VA_ARGS__))
 
 /** panic() unless the invariant holds. Always compiled in. */
 #define gds_assert(cond, ...)                                               \

@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/log.hh"
+
 namespace gds::common
 {
 
@@ -109,17 +111,19 @@ parseEnvU64(const char *name, std::uint64_t def, std::uint64_t min,
         return def;
     const Result<std::uint64_t> r = parseU64(env);
     if (!r) {
-        warn("ignoring invalid %s='%s' (%s); using default %llu", name,
-             env, r.status().message().c_str(),
-             static_cast<unsigned long long>(def));
+        log::warnf("config", {},
+                   "ignoring invalid %s='%s' (%s); using default %llu", name,
+                   env, r.status().message().c_str(),
+                   static_cast<unsigned long long>(def));
         return def;
     }
     if (r.value() < min || r.value() > max) {
-        warn("ignoring out-of-range %s=%s (allowed [%llu, %llu]); using "
-             "default %llu",
-             name, env, static_cast<unsigned long long>(min),
-             static_cast<unsigned long long>(max),
-             static_cast<unsigned long long>(def));
+        log::warnf("config", {},
+                   "ignoring out-of-range %s=%s (allowed [%llu, %llu]); using "
+                   "default %llu", name, env,
+                   static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max),
+                   static_cast<unsigned long long>(def));
         return def;
     }
     return r.value();
@@ -133,8 +137,9 @@ parseEnvF64(const char *name, double def)
         return def;
     const Result<double> r = parseF64(env);
     if (!r) {
-        warn("ignoring invalid %s='%s' (%s); using default %g", name, env,
-             r.status().message().c_str(), def);
+        log::warnf("config", {},
+                   "ignoring invalid %s='%s' (%s); using default %g", name,
+                   env, r.status().message().c_str(), def);
         return def;
     }
     return r.value();
@@ -151,6 +156,16 @@ bool
 envFlag(const char *name)
 {
     return std::getenv(name) != nullptr;
+}
+
+std::string
+lowercase(const std::string &s)
+{
+    std::string out = s;
+    for (char &c : out)
+        if (c >= 'A' && c <= 'Z')
+            c = static_cast<char>(c - 'A' + 'a');
+    return out;
 }
 
 } // namespace gds::common

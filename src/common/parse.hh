@@ -87,4 +87,8 @@ std::string parseEnvStr(const char *name, const std::string &def);
 /** True when the environment variable @p name is set (to anything). */
 bool envFlag(const char *name);
 
+/** ASCII-lowercased copy of @p s, for case-insensitive name matching
+ *  (algorithm, system and request-op names). */
+std::string lowercase(const std::string &s);
+
 } // namespace gds::common

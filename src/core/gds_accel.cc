@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/log.hh"
 #include "common/parse.hh"
 #include "core/detail.hh"
 #include "core/supervised_run.hh"
@@ -233,16 +234,16 @@ GdsAccel::run(const RunOptions &options)
         // Diagnostic heartbeat for long runs (GDS_PROGRESS=1).
         if (progress && now != runStart &&
             (now - runStart) % 1'000'000 == 0) {
-            inform("cycle=%llu iter=%u slice=%u phase=%d "
-                   "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
-                   static_cast<unsigned long long>(now - runStart),
-                   iteration, curSlice, static_cast<int>(phase),
-                   static_cast<unsigned long long>(sc.recordsDispatched),
-                   static_cast<unsigned long long>(sc.recordsTotal),
-                   static_cast<unsigned long long>(sc.edgesReduced),
-                   static_cast<unsigned long long>(sc.expectedEdges),
-                   static_cast<unsigned long long>(ap.groupsCompleted),
-                   ap.groups.size());
+            log::infof("gds", {}, "cycle=%llu iter=%u slice=%u phase=%d "
+                       "scatter=%llu/%llu reduced=%llu/%llu apply=%llu/%zu",
+                       static_cast<unsigned long long>(now - runStart),
+                       iteration, curSlice, static_cast<int>(phase),
+                       static_cast<unsigned long long>(sc.recordsDispatched),
+                       static_cast<unsigned long long>(sc.recordsTotal),
+                       static_cast<unsigned long long>(sc.edgesReduced),
+                       static_cast<unsigned long long>(sc.expectedEdges),
+                       static_cast<unsigned long long>(ap.groupsCompleted),
+                       ap.groups.size());
         }
         return phase == Phase::Finished;
     });

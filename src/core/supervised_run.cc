@@ -8,6 +8,7 @@
 #include <csignal>
 #include <optional>
 
+#include "common/log.hh"
 #include "common/parse.hh"
 #include "core/gds_accel.hh"
 #include "graph/csr.hh"
@@ -90,12 +91,13 @@ supervisedRun(const SupervisedTarget &target, const RunOptions &options,
         if (const auto loaded = store->loadLatest(&reason)) {
             if (loaded->meta.stateVersion != kStateVersion ||
                 loaded->meta.identity != identity) {
-                warn("ignoring checkpoint %s: identity/version mismatch "
-                     "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                     store->currentPath().c_str(),
-                     loaded->meta.identity.c_str(),
-                     loaded->meta.stateVersion, identity.c_str(),
-                     kStateVersion);
+                log::warnf("ckpt", {},
+                           "ignoring checkpoint %s: identity/version mismatch "
+                           "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
+                           store->currentPath().c_str(),
+                           loaded->meta.identity.c_str(),
+                           loaded->meta.stateVersion, identity.c_str(),
+                           kStateVersion);
             } else {
                 sim::Deserializer d(loaded->payload);
                 target.top.restoreState(d);
@@ -122,18 +124,18 @@ supervisedRun(const SupervisedTarget &target, const RunOptions &options,
                     tracer->restoreState(d);
                 driver.restoreState(d);
                 d.expectEnd();
-                inform("resumed from %s at cycle %llu%s",
-                       (loaded->usedFallback ? store->previousPath()
-                                             : store->currentPath())
-                           .c_str(),
-                       static_cast<unsigned long long>(loaded->meta.cycle),
-                       loaded->usedFallback
-                           ? " (previous checkpoint; current was invalid)"
-                           : "");
+                log::infof("ckpt", {}, "resumed from %s at cycle %llu%s",
+                           (loaded->usedFallback ? store->previousPath()
+                                                 : store->currentPath())
+                               .c_str(),
+                           static_cast<unsigned long long>(loaded->meta.cycle),
+                           loaded->usedFallback
+                               ? " (previous checkpoint; current was invalid)"
+                               : "");
             }
         } else if (!reason.empty()) {
-            warn("no usable checkpoint (%s); starting clean",
-                 reason.c_str());
+            log::warnf("ckpt", {}, "no usable checkpoint (%s); starting clean",
+                       reason.c_str());
         }
     }
 

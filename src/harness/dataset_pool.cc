@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/debug.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "harness/experiment.hh"
 
 namespace gds::harness
@@ -57,9 +57,8 @@ DatasetPool::get(const std::string &name, bool weighted)
     // concurrently; waiters for *this* dataset block on the future.
     if (load_here) {
         try {
-            detail::emit("[harness] ",
-                         detail::vformat("loading %s%s", name.c_str(),
-                                         weighted ? " (weighted)" : ""));
+            log::infof("harness", {}, "loading %s%s", name.c_str(),
+                       weighted ? " (weighted)" : "");
             slot->promise.set_value(
                 std::make_shared<graph::Csr>(loader(name, weighted)));
         } catch (...) {

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/fsio.hh"
+#include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/rss.hh"
@@ -27,15 +28,6 @@
 namespace gds::harness
 {
 
-namespace
-{
-
-/** One mutex-serialized "[harness] ..." stderr line (workers interleave). */
-#define harnessLine(...)                                                    \
-    ::gds::detail::emit("[harness] ", ::gds::detail::vformat(__VA_ARGS__))
-
-} // namespace
-
 std::string
 systemName(SystemId id)
 {
@@ -46,6 +38,35 @@ systemName(SystemId id)
         return "Graphicionado";
       case SystemId::Gunrock:
         return "Gunrock";
+    }
+    panic("bad system id");
+}
+
+Result<SystemId>
+parseSystem(const std::string &name)
+{
+    const std::string s = common::lowercase(name);
+    if (s == "gds" || s == "graphdyns")
+        return SystemId::GraphDynS;
+    if (s == "graphicionado")
+        return SystemId::Graphicionado;
+    if (s == "gunrock")
+        return SystemId::Gunrock;
+    return Status::failure(ErrorCode::Config,
+                           "unknown system '" + name +
+                               "' (want gds, graphicionado or gunrock)");
+}
+
+const char *
+systemTag(SystemId id)
+{
+    switch (id) {
+      case SystemId::GraphDynS:
+        return "gds";
+      case SystemId::Graphicionado:
+        return "graphicionado";
+      case SystemId::Gunrock:
+        return "gunrock";
     }
     panic("bad system id");
 }
@@ -118,8 +139,9 @@ loadDataset(const std::string &name, bool weighted)
             return mmap_enabled ? graph::loadBinaryMapped(cache_file)
                                 : graph::loadBinary(cache_file);
         } catch (const SimError &e) {
-            warn("dataset cache '%s' unusable (%s); regenerating",
-                 cache_file.c_str(), e.what());
+            log::warnf("harness", {},
+                       "dataset cache '%s' unusable (%s); regenerating",
+                       cache_file.c_str(), e.what());
             std::filesystem::remove(cache_file);
         }
     }
@@ -136,9 +158,9 @@ loadDataset(const std::string &name, bool weighted)
         try {
             return graph::loadBinaryMapped(cache_file);
         } catch (const SimError &e) {
-            warn("cannot re-map fresh dataset cache '%s' (%s); serving "
-                 "from heap",
-                 cache_file.c_str(), e.what());
+            log::warnf("harness", {},
+                       "cannot re-map fresh dataset cache '%s' (%s); serving "
+                       "from heap", cache_file.c_str(), e.what());
         }
     }
     return g;
@@ -213,19 +235,19 @@ runCell(const std::string &system, algo::AlgorithmId algorithm,
             if (transient && attempt < retries) {
                 const std::uint64_t delay_ms =
                     std::min<std::uint64_t>(100ULL << attempt, 2000);
-                warn("cell %s/%s/%s attempt %u failed (%s); retrying in "
-                     "%llu ms",
-                     system.c_str(),
-                     algo::algorithmName(algorithm).c_str(),
-                     dataset.c_str(), attempt + 1, e.what(),
-                     static_cast<unsigned long long>(delay_ms));
+                log::warnf("harness", {},
+                           "cell %s/%s/%s attempt %u failed (%s); retrying in "
+                           "%llu ms", system.c_str(),
+                           algo::algorithmName(algorithm).c_str(),
+                           dataset.c_str(), attempt + 1, e.what(),
+                           static_cast<unsigned long long>(delay_ms));
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(delay_ms));
                 continue;
             }
-            warn("cell %s/%s/%s failed: %s", system.c_str(),
-                 algo::algorithmName(algorithm).c_str(), dataset.c_str(),
-                 e.what());
+            log::warnf("harness", {}, "cell %s/%s/%s failed: %s",
+                       system.c_str(), algo::algorithmName(algorithm).c_str(),
+                       dataset.c_str(), e.what());
             RunRecord r;
             r.system = system;
             r.algorithm = algo::algorithmName(algorithm);
@@ -424,26 +446,6 @@ runGunrock(algo::AlgorithmId algorithm, const std::string &dataset,
     return r;
 }
 
-namespace
-{
-
-/** Cache-key system tag for a SystemId. */
-const char *
-systemTag(SystemId sys)
-{
-    switch (sys) {
-      case SystemId::GraphDynS:
-        return "gds";
-      case SystemId::Graphicionado:
-        return "graphicionado";
-      case SystemId::Gunrock:
-        return "gunrock";
-    }
-    panic("bad system id");
-}
-
-} // namespace
-
 std::vector<RunRecord>
 evaluationMatrix(ResultCache &cache)
 {
@@ -489,8 +491,8 @@ evaluationMatrix(ResultCache &cache)
         // watchdog verdict) into a status!="ok" record, so one broken
         // cell never kills a whole figure regeneration.
         records[i] = cache.getOrRun(key, [&] {
-            harnessLine("%s %s %s", system.c_str(),
-                        algo::algorithmName(c.id).c_str(), dataset.c_str());
+            log::infof("harness", {}, "%s %s %s", system.c_str(),
+                       algo::algorithmName(c.id).c_str(), dataset.c_str());
             return runCell(system, c.id, dataset, [&] {
                 double load_seconds = 0.0;
                 DatasetPool::GraphPtr g;
@@ -519,8 +521,8 @@ evaluationMatrix(ResultCache &cache)
             done.fetch_add(1, std::memory_order_relaxed) + 1;
         const unsigned active =
             running.fetch_sub(1, std::memory_order_relaxed) - 1;
-        harnessLine("%zu/%zu cells, %u running", completed, cells.size(),
-                    active);
+        log::infof("harness", {}, "%zu/%zu cells, %u running", completed,
+                   cells.size(), active);
     };
 
     common::parallelFor(cells.size(), common::jobCount(), run_one);
@@ -692,9 +694,9 @@ ResultCache::appendLocked(const std::string &key, const RunRecord &record)
         writeRecordLine(journal, key, record);
     // Flush eagerly so interrupted bench runs keep their progress.
     if (!journal.is_open() || !journal.flush()) {
-        warn("cannot append to result cache '%s'; results from this run "
-             "will not be persisted",
-             cacheFile);
+        log::warnf("harness", {},
+                   "cannot append to result cache '%s'; results from this run "
+                   "will not be persisted", cacheFile);
         journal_failed = true;
         return;
     }
@@ -715,9 +717,9 @@ ResultCache::load()
     }
     std::string line;
     if (!std::getline(in, line) || line != cacheFormatLine) {
-        warn("ignoring result cache '%s': unrecognized format (expected "
-             "\"%s\"); it will be rebuilt",
-             cacheFile, cacheFormatLine);
+        log::warnf("harness", {},
+                   "ignoring result cache '%s': unrecognized format (expected "
+                   "\"%s\"); it will be rebuilt", cacheFile, cacheFormatLine);
         needs_header = true;
         return;
     }
@@ -756,8 +758,10 @@ ResultCache::load()
             parsed = parsed && static_cast<bool>(iss);
         }
         if (!parsed) {
-            warn("skipping corrupt line %llu in result cache '%s'",
-                 static_cast<unsigned long long>(line_number), cacheFile);
+            log::warnf("harness", {},
+                       "skipping corrupt line %llu in result cache '%s'",
+                       static_cast<unsigned long long>(line_number),
+                       cacheFile);
             continue;
         }
         entries[key] = r;
@@ -779,8 +783,9 @@ ResultCache::compactLocked()
         for (const auto &[key, r] : entries)
             writeRecordLine(out, key, r);
         if (!out) {
-            warn("cannot write result cache temp file '%s'",
-                 tmp_file.c_str());
+            log::warnf("harness", {},
+                       "cannot write result cache temp file '%s'",
+                       tmp_file.c_str());
             return;
         }
     }

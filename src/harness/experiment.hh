@@ -39,6 +39,18 @@ enum class SystemId
 
 std::string systemName(SystemId id);
 
+/**
+ * Parse a system name, case-insensitively ("gds" or "graphdyns",
+ * "graphicionado", "gunrock"): the one parser behind the CLI's --system
+ * and the daemon's "system" field. An unknown name is a Config failure.
+ */
+Result<SystemId> parseSystem(const std::string &name);
+
+/** Result-cache key tag of a system ("gds", "graphicionado",
+ *  "gunrock"), shared by the evaluation matrix and the daemon so both
+ *  hit the same cells. parseSystem() accepts every tag. */
+const char *systemTag(SystemId id);
+
 /** GraphDynS ablation configurations (Fig. 14c naming). */
 enum class GdsVariant
 {

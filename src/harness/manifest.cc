@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "graph/datasets.hh"
 #include "stats/json.hh"
 
@@ -237,7 +237,7 @@ Manifest::writeFile(const std::string &path) const
     if (out)
         write(out);
     if (!out) {
-        warn("cannot write manifest '%s'", path.c_str());
+        log::warnf("harness", {}, "cannot write manifest '%s'", path.c_str());
         return false;
     }
     return true;

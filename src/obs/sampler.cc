@@ -3,7 +3,7 @@
 #include <fstream>
 
 #include "common/error.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace gds::obs
 {
@@ -65,7 +65,7 @@ Sampler::writeCsvFile(const std::string &path) const
     if (out)
         writeCsv(out);
     if (!out) {
-        warn("cannot write sample file '%s'", path.c_str());
+        log::warnf("obs", {}, "cannot write sample file '%s'", path.c_str());
         return false;
     }
     return true;

@@ -4,7 +4,7 @@
 #include <map>
 
 #include "common/debug.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "stats/json.hh"
 
 namespace gds::obs
@@ -186,7 +186,7 @@ Tracer::writeFile(const std::string &path) const
     if (out)
         write(out);
     if (!out) {
-        warn("cannot write trace file '%s'", path.c_str());
+        log::warnf("obs", {}, "cannot write trace file '%s'", path.c_str());
         return false;
     }
     return true;

@@ -10,6 +10,7 @@
 #include <system_error>
 
 #include "common/fsio.hh"
+#include "common/log.hh"
 #include "common/parse.hh"
 
 namespace gds::sim
@@ -301,9 +302,10 @@ CheckpointStore::loadLatest(std::string *reason) const
             Loaded loaded = readFile(path);
             loaded.usedFallback = path == previous;
             if (loaded.usedFallback) {
-                warn("checkpoint '%s' is unusable (%s); falling back "
-                     "to '%s'", current.c_str(), why.c_str(),
-                     previous.c_str());
+                log::warnf("ckpt", {},
+                           "checkpoint '%s' is unusable (%s); falling back "
+                           "to '%s'", current.c_str(), why.c_str(),
+                           previous.c_str());
                 if (reason != nullptr)
                     *reason = why;
             }

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/debug.hh"
+#include "common/log.hh"
 #include "sim/checkpoint.hh"
 
 namespace gds::sim
@@ -265,7 +266,7 @@ Simulator::run(const std::function<bool()> &done, const RunLimits &limits,
         report.cycles = _cycle - start;
         report.lastProgressCycle = last_progress_cycle;
         report.components = snapshot();
-        warn("simulation %s", report.summary().c_str());
+        log::warnf("sim", {}, "simulation %s", report.summary().c_str());
         DPRINTF(Watchdog, "diagnostic snapshot:\n%s",
                 report.snapshotText().c_str());
         // Unconditional incident marker (DPRINTF routing into the tracer
@@ -315,7 +316,8 @@ Simulator::run(const std::function<bool()> &done, const RunLimits &limits,
                 report.outcome = RunOutcome::Stopped;
                 report.cycles = _cycle - start;
                 report.lastProgressCycle = last_progress_cycle;
-                inform("simulation %s", report.summary().c_str());
+                log::infof("sim", {}, "simulation %s",
+                           report.summary().c_str());
                 return report;
             }
             if (wall_budgeted &&

@@ -1,8 +1,8 @@
 #include "stats/json.hh"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
+
+#include "common/jsonio.hh"
 
 namespace gds::stats
 {
@@ -20,58 +20,11 @@ emitJsonNumber(std::ostream &os, double v)
 void
 emitJsonString(std::ostream &os, const std::string &s)
 {
-    os << '"';
-    for (const unsigned char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\b':
-            os << "\\b";
-            break;
-          case '\f':
-            os << "\\f";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            // RFC 8259: all other control characters must be \u-escaped.
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << static_cast<char>(c);
-            }
-        }
-    }
-    os << '"';
+    os << common::jsonQuote(s);
 }
 
 namespace
 {
-
-void
-emitNumber(std::ostream &os, double v)
-{
-    emitJsonNumber(os, v);
-}
-
-void
-emitString(std::ostream &os, const std::string &s)
-{
-    emitJsonString(os, s);
-}
 
 void
 dumpGroup(const Group &group, std::ostream &os)
@@ -85,16 +38,16 @@ dumpGroup(const Group &group, std::ostream &os)
     };
     for (const Stat *s : group.stats()) {
         sep();
-        emitString(os, s->name());
+        emitJsonString(os, s->name());
         os << ':';
         if (const auto *scalar = dynamic_cast<const Scalar *>(s)) {
-            emitNumber(os, scalar->value());
+            emitJsonNumber(os, scalar->value());
         } else if (const auto *vec = dynamic_cast<const Vector *>(s)) {
             os << '[';
             for (std::size_t i = 0; i < vec->size(); ++i) {
                 if (i)
                     os << ',';
-                emitNumber(os, vec->at(i));
+                emitJsonNumber(os, vec->at(i));
             }
             os << ']';
         } else if (const auto *dist =
@@ -103,7 +56,7 @@ dumpGroup(const Group &group, std::ostream &os)
             for (std::size_t b = 0; b < Distribution::numBuckets(); ++b) {
                 if (b)
                     os << ',';
-                emitString(os, Distribution::bucketLabel(b));
+                emitJsonString(os, Distribution::bucketLabel(b));
                 os << ':' << dist->bucketCount(b);
             }
             os << '}';
@@ -113,7 +66,7 @@ dumpGroup(const Group &group, std::ostream &os)
     }
     for (const Group *child : group.childGroups()) {
         sep();
-        emitString(os, child->name());
+        emitJsonString(os, child->name());
         os << ':';
         dumpGroup(*child, os);
     }
@@ -127,231 +80,6 @@ dumpJson(const Group &group, std::ostream &os)
 {
     dumpGroup(group, os);
     os << '\n';
-}
-
-// ---------------------------------------------------------------------
-// Minimal RFC 8259 validator.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Cursor over the text being validated; fail() records the first error. */
-struct JsonCursor
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string error;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty())
-            error = "byte " + std::to_string(pos) + ": " + what;
-        return false;
-    }
-
-    bool atEnd() const { return pos >= text.size(); }
-    char peek() const { return text[pos]; }
-
-    void
-    skipWs()
-    {
-        while (!atEnd()) {
-            const char c = text[pos];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-                break;
-            ++pos;
-        }
-    }
-
-    bool
-    consume(char expected)
-    {
-        if (atEnd() || text[pos] != expected) {
-            return fail(std::string("expected '") + expected + "'");
-        }
-        ++pos;
-        return true;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        for (const char *p = word; *p != '\0'; ++p) {
-            if (atEnd() || text[pos] != *p)
-                return fail(std::string("bad literal, expected ") + word);
-            ++pos;
-        }
-        return true;
-    }
-
-    bool parseValue(unsigned depth);
-    bool parseString();
-    bool parseNumber();
-    bool parseObject(unsigned depth);
-    bool parseArray(unsigned depth);
-};
-
-bool
-JsonCursor::parseString()
-{
-    if (!consume('"'))
-        return false;
-    while (true) {
-        if (atEnd())
-            return fail("unterminated string");
-        const unsigned char c = static_cast<unsigned char>(text[pos]);
-        if (c == '"') {
-            ++pos;
-            return true;
-        }
-        if (c < 0x20)
-            return fail("unescaped control character in string");
-        if (c == '\\') {
-            ++pos;
-            if (atEnd())
-                return fail("unterminated escape");
-            const char e = text[pos];
-            if (e == 'u') {
-                for (unsigned i = 0; i < 4; ++i) {
-                    ++pos;
-                    if (atEnd() || !std::isxdigit(
-                            static_cast<unsigned char>(text[pos])))
-                        return fail("bad \\u escape");
-                }
-            } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                       e != 'f' && e != 'n' && e != 'r' && e != 't') {
-                return fail("bad escape character");
-            }
-        }
-        ++pos;
-    }
-}
-
-bool
-JsonCursor::parseNumber()
-{
-    if (!atEnd() && peek() == '-')
-        ++pos;
-    if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return fail("bad number");
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-        ++pos;
-    if (!atEnd() && peek() == '.') {
-        ++pos;
-        if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return fail("bad fraction");
-        while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos;
-    }
-    if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-        ++pos;
-        if (!atEnd() && (peek() == '+' || peek() == '-'))
-            ++pos;
-        if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return fail("bad exponent");
-        while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos;
-    }
-    return true;
-}
-
-bool
-JsonCursor::parseObject(unsigned depth)
-{
-    if (!consume('{'))
-        return false;
-    skipWs();
-    if (!atEnd() && peek() == '}') {
-        ++pos;
-        return true;
-    }
-    while (true) {
-        skipWs();
-        if (!parseString())
-            return false;
-        skipWs();
-        if (!consume(':'))
-            return false;
-        if (!parseValue(depth))
-            return false;
-        skipWs();
-        if (atEnd())
-            return fail("unterminated object");
-        if (peek() == ',') {
-            ++pos;
-            continue;
-        }
-        return consume('}');
-    }
-}
-
-bool
-JsonCursor::parseArray(unsigned depth)
-{
-    if (!consume('['))
-        return false;
-    skipWs();
-    if (!atEnd() && peek() == ']') {
-        ++pos;
-        return true;
-    }
-    while (true) {
-        if (!parseValue(depth))
-            return false;
-        skipWs();
-        if (atEnd())
-            return fail("unterminated array");
-        if (peek() == ',') {
-            ++pos;
-            continue;
-        }
-        return consume(']');
-    }
-}
-
-bool
-JsonCursor::parseValue(unsigned depth)
-{
-    if (depth > 512)
-        return fail("nesting too deep");
-    skipWs();
-    if (atEnd())
-        return fail("expected a value");
-    switch (peek()) {
-      case '{':
-        return parseObject(depth + 1);
-      case '[':
-        return parseArray(depth + 1);
-      case '"':
-        return parseString();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return parseNumber();
-    }
-}
-
-} // namespace
-
-bool
-validateJson(const std::string &text, std::string *error)
-{
-    JsonCursor cur{text, 0, {}};
-    bool ok = cur.parseValue(0);
-    if (ok) {
-        cur.skipWs();
-        if (!cur.atEnd())
-            ok = cur.fail("trailing characters after the JSON value");
-    }
-    if (!ok && error != nullptr)
-        *error = cur.error;
-    return ok;
 }
 
 } // namespace gds::stats

@@ -1,7 +1,8 @@
 /**
  * @file
  * JSON export of a statistics tree, for machine consumption of run
- * results (plotting scripts, CI dashboards).
+ * results (plotting scripts, CI dashboards). Reading JSON back is
+ * common::parseJson's job (common/jsonio.hh).
  */
 
 #pragma once
@@ -21,21 +22,10 @@ namespace gds::stats
  */
 void dumpJson(const Group &group, std::ostream &os);
 
-/** Emit @p s as a quoted, escaped JSON string. */
+/** Emit @p s as a quoted, escaped JSON string (common::jsonQuote). */
 void emitJsonString(std::ostream &os, const std::string &s);
 
 /** Emit @p v as a JSON number (non-finite values become null). */
 void emitJsonNumber(std::ostream &os, double v);
-
-/**
- * Validate @p text as one complete RFC 8259 JSON value (a minimal
- * recursive-descent parser that builds nothing). Used by the telemetry
- * tests to prove traces and manifests load in real consumers, and cheap
- * enough to call on every dump in debug builds.
- *
- * @param error when non-null, receives a "byte N: what" message on failure
- * @return true iff @p text parses cleanly with no trailing garbage
- */
-bool validateJson(const std::string &text, std::string *error = nullptr);
 
 } // namespace gds::stats

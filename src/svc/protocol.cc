@@ -14,16 +14,6 @@ namespace gds::svc
 namespace
 {
 
-std::string
-lowered(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        if (c >= 'A' && c <= 'Z')
-            c = static_cast<char>(c - 'A' + 'a');
-    return out;
-}
-
 Status
 badRequest(const std::string &message)
 {
@@ -69,31 +59,6 @@ readU64Field(const common::JsonValue &obj, const std::string &field,
     return Status{};
 }
 
-Result<harness::SystemId>
-parseSystem(const std::string &name)
-{
-    const std::string s = lowered(name);
-    if (s == "gds" || s == "graphdyns")
-        return harness::SystemId::GraphDynS;
-    if (s == "graphicionado")
-        return harness::SystemId::Graphicionado;
-    if (s == "gunrock")
-        return harness::SystemId::Gunrock;
-    return badRequest("unknown system '" + name +
-                      "' (want gds, graphicionado or gunrock)");
-}
-
-Result<algo::AlgorithmId>
-parseAlgorithm(const std::string &name)
-{
-    const std::string s = lowered(name);
-    for (const algo::AlgorithmId id : algo::allAlgorithms)
-        if (s == lowered(algo::algorithmName(id)))
-            return id;
-    return badRequest("unknown algorithm '" + name +
-                      "' (want bfs, sssp, cc, sswp or pr)");
-}
-
 Status
 validateDataset(const std::string &name)
 {
@@ -116,7 +81,7 @@ parseSubmit(const common::JsonValue &obj)
     if (const common::JsonValue *sys = obj.find("system")) {
         if (!sys->isString())
             return badRequest("field 'system' must be a string");
-        auto parsed = parseSystem(sys->asString());
+        auto parsed = harness::parseSystem(sys->asString());
         if (!parsed.ok())
             return parsed.status();
         spec.system = parsed.value();
@@ -126,7 +91,7 @@ parseSubmit(const common::JsonValue &obj)
     if (!alg || !alg->isString())
         return badRequest("submit needs a string field 'algorithm'");
     {
-        auto parsed = parseAlgorithm(alg->asString());
+        auto parsed = algo::parseAlgorithm(alg->asString());
         if (!parsed.ok())
             return parsed.status();
         spec.algorithm = parsed.value();
@@ -189,23 +154,10 @@ parseSubmit(const common::JsonValue &obj)
 } // namespace
 
 std::string
-JobSpec::systemTag() const
-{
-    switch (system) {
-      case harness::SystemId::GraphDynS:
-        return "gds";
-      case harness::SystemId::Graphicionado:
-        return "graphicionado";
-      case harness::SystemId::Gunrock:
-        return "gunrock";
-    }
-    panic("bad system id");
-}
-
-std::string
 JobSpec::key() const
 {
-    std::string k = harness::cellKey(systemTag(), algorithm, dataset);
+    std::string k =
+        harness::cellKey(harness::systemTag(system), algorithm, dataset);
     // Only overrides that change the simulated outcome extend the key:
     // a spec with none reuses (and warms) the evaluation matrix's cells.
     if (source)
@@ -232,7 +184,7 @@ parseRequest(const std::string &line)
         return badRequest("request needs a string field 'op'");
 
     Request req;
-    const std::string name = lowered(op->asString());
+    const std::string name = common::lowercase(op->asString());
     if (name == "submit") {
         req.op = RequestOp::Submit;
         auto spec = parseSubmit(root);

@@ -84,9 +84,6 @@ struct JobSpec
      * collides with the evaluation matrix's canonical cells.
      */
     std::string key() const;
-
-    /** Cache-key / statsz tag for the system ("gds", "gunrock", ...). */
-    std::string systemTag() const;
 };
 
 /** One parsed request line. */

@@ -212,9 +212,9 @@ Server::serve()
     common::UnixListener listener;
     if (Status s = listener.bind(config.socketPath); !s.ok())
         return s;
-    inform("gds_simd listening on %s (%u workers, queue %zu)",
-           config.socketPath.c_str(), config.service.workers,
-           config.service.maxQueue);
+    log::infof("svc", {}, "gds_simd listening on %s (%u workers, queue %zu)",
+               config.socketPath.c_str(), config.service.workers,
+               config.service.maxQueue);
 
     common::UnixListener metrics_listener;
     std::thread metrics_thread;
@@ -222,8 +222,8 @@ Server::serve()
         if (Status s = metrics_listener.bind(config.metricsSocketPath);
             !s.ok())
             return s;
-        inform("gds_simd metrics on %s",
-               config.metricsSocketPath.c_str());
+        log::infof("svc", {}, "gds_simd metrics on %s",
+                   config.metricsSocketPath.c_str());
         metrics_thread =
             std::thread([this, &metrics_listener] {
                 serveMetrics(metrics_listener);
@@ -235,7 +235,8 @@ Server::serve()
         if (!channel.ok()) {
             if (channel.status().code() == ErrorCode::Timeout)
                 continue; // idle tick: re-check the stop flags
-            warn("accept failed: %s", channel.status().message().c_str());
+            log::warnf("svc", {}, "accept failed: %s",
+                       channel.status().message().c_str());
             continue;
         }
         // One thread per connection: a long-lived subscriber must not
@@ -259,10 +260,10 @@ Server::serve()
     if (metrics_thread.joinable())
         metrics_thread.join();
 
-    inform("gds_simd draining (%zu jobs in flight)",
-           sim_service.stats().queueDepth);
+    log::infof("svc", {}, "gds_simd draining (%zu jobs in flight)",
+               sim_service.stats().queueDepth);
     sim_service.drain();
-    inform("gds_simd drained; exiting");
+    log::infof("svc", {}, "gds_simd drained; exiting");
     return Status{};
 }
 

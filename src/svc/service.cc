@@ -636,7 +636,7 @@ SimService::drain()
         try {
             threads->wait();
         } catch (const std::exception &e) {
-            warn("drain: worker raised: %s", e.what());
+            log::warnf("svc", {}, "drain: worker raised: %s", e.what());
         }
         threads.reset();
         if (!config.tracePath.empty()) {

@@ -18,6 +18,7 @@
 
 #include "algo/vcpm.hh"
 #include "common/error.hh"
+#include "common/jsonio.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "harness/manifest.hh"
@@ -76,8 +77,8 @@ TEST(Tracer, OutputIsValidJsonWithEveryEventKind)
     t.end(id, 10);
     std::ostringstream os;
     t.write(os);
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(os.str(), &error)) << error;
+    const auto parsed = common::parseJson(os.str());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
     // Counter events are keyed by (pid, name) in the UI: the series name
     // must carry the track name.
     EXPECT_NE(os.str().find("hbm \\\"quoted\\\"\\npath.activity"),
@@ -223,8 +224,8 @@ TEST(TimeSeries, JsonExportIsValidAndColumnar)
     ts.addRow(100, {3.0, 4.0});
     std::ostringstream os;
     ts.writeJson(os);
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(os.str(), &error)) << error;
+    const auto parsed = common::parseJson(os.str());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
     EXPECT_NE(os.str().find("\"cycles\":[0,100]"), std::string::npos);
     EXPECT_NE(os.str().find("\"a\":[1,3]"), std::string::npos);
     EXPECT_NE(os.str().find("\"b\":[2.5,4]"), std::string::npos);
@@ -290,8 +291,8 @@ TEST(Manifest, WriteEmitsValidJsonWithOneEntryPerCell)
     std::ostringstream os;
     m.write(os);
     const std::string json = os.str();
-    std::string error;
-    EXPECT_TRUE(stats::validateJson(json, &error)) << error;
+    const auto parsed = common::parseJson(json);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
     EXPECT_NE(json.find("\"gitSha\":"), std::string::npos);
     EXPECT_NE(json.find("\"scaleDivisor\":"), std::string::npos);
     EXPECT_NE(json.find("\"key\":\"gds/bfs/LJ\""), std::string::npos);
@@ -347,7 +348,8 @@ tracedBfsRun()
 
     std::ostringstream trace_os;
     tracer.write(trace_os);
-    EXPECT_TRUE(stats::validateJson(trace_os.str(), &error)) << error;
+    const auto parsed = common::parseJson(trace_os.str());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
     std::ostringstream csv_os;
     sampler.writeCsv(csv_os);
     return {trace_os.str(), csv_os.str()};

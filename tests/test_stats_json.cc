@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests of the JSON statistics export: structure, escaping, all stat
- * kinds, nesting, and numeric edge cases.
+ * Tests of the JSON statistics export (structure, escaping, all stat
+ * kinds, nesting, numeric edge cases) and of the one JSON codec behind
+ * it: everything emitJsonString writes parses back through
+ * common::parseJson, and parseJson rejects malformed input with a typed
+ * CorruptInput status.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "common/jsonio.hh"
 #include "stats/json.hh"
 
 namespace gds::stats
@@ -94,6 +98,45 @@ TEST(StatsJson, ControlCharactersAreEscapedPerRfc8259)
     std::ostringstream os3;
     emitJsonString(os3, "p\\q\"r");
     EXPECT_EQ(os3.str(), "\"p\\\\q\\\"r\"");
+
+    // Every byte value survives the emit -> parse round trip, alone and
+    // embedded in text (bytes >= 0x80 pass through unescaped).
+    for (unsigned b = 0; b <= 0xFF; ++b) {
+        const char c = static_cast<char>(b);
+        for (const std::string &text :
+             {std::string(1, c), "a" + std::string(1, c) + "z"}) {
+            std::ostringstream round;
+            emitJsonString(round, text);
+            const auto parsed = common::parseJson(round.str());
+            ASSERT_TRUE(parsed.ok())
+                << "byte " << b << ": " << parsed.status().message();
+            ASSERT_TRUE(parsed.value().isString()) << "byte " << b;
+            EXPECT_EQ(parsed.value().asString(), text) << "byte " << b;
+        }
+    }
+}
+
+TEST(JsonCodec, ParserRejectsMalformedInputAsCorruptInput)
+{
+    // The root is depth 0; a container nested below depth 64 is refused.
+    const std::string too_deep = std::string(66, '[') + std::string(66, ']');
+    const std::string cases[] = {
+        too_deep,
+        "\"a\x01\"",   // raw control character in a string
+        "-",           // sign without digits
+        "1.",          // fraction without digits
+        "1e",          // exponent without digits
+        "{\"a\":1} x", // trailing garbage
+        "\"\\u12\"",   // \u escape cut short by the closing quote
+        "\"\\u",       // input ends inside a \u escape
+    };
+    for (const std::string &text : cases) {
+        const auto parsed = common::parseJson(text);
+        ASSERT_FALSE(parsed.ok()) << text;
+        EXPECT_EQ(parsed.status().code(), ErrorCode::CorruptInput) << text;
+    }
+    EXPECT_TRUE(
+        common::parseJson(std::string(65, '[') + std::string(65, ']')).ok());
 }
 
 } // namespace

@@ -480,9 +480,9 @@ TEST(SvcPerfectMem, EnvFlagIsResolvedOncePerRun)
 
 TEST(SvcLog, HumanFormatMatchesHistoricalLinesWhenUnstructured)
 {
-    // Empty subsystem + no fields is byte-identical to what the legacy
-    // warn()/inform() macros always printed — scripts grepping daemon
-    // stderr (CI's svc-smoke among them) must keep working.
+    // Empty subsystem + no fields renders the bare historical
+    // `warn: <msg>` form — scripts grepping daemon stderr (CI's
+    // svc-smoke among them) must keep working.
     EXPECT_EQ(log::formatHuman(log::Level::Warn, "", "queue full", {}),
               "warn: queue full");
     EXPECT_EQ(log::formatHuman(log::Level::Info, "svc", "job admitted",

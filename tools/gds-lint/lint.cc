@@ -242,7 +242,7 @@ ruleDescription(const std::string &rule)
                "SimError or use gds_assert in core model code";
     if (rule == "no-raw-stderr")
         return "raw stderr bypasses serialized emission; report through "
-               "common/logging or common/debug";
+               "common/log (log::warnf) or common/debug";
     if (rule == "no-unseeded-rng")
         return "unseeded randomness breaks run-to-run determinism; seed "
                "explicitly via gds::Rng";

@@ -90,8 +90,9 @@ ruleRawStderr(const LexedFile &f, const std::string &rel,
             isIdent(t, "stderr")) {
             out.push_back({f.path, t.line, "no-raw-stderr",
                            "raw " + t.text + " bypasses serialized "
-                           "emission; report through common/logging "
-                           "(warn/inform) or common/debug (GDS_DPRINTF)",
+                           "emission; report through common/log "
+                           "(log::warnf / log::infof) or common/debug "
+                           "(GDS_DPRINTF)",
                            false});
         }
     }

@@ -10,8 +10,9 @@
  *                      src/energy) — those paths must throw typed SimErrors.
  *  - no-raw-stderr     R2: `std::cerr`/`std::clog`/`stderr` only inside
  *                      src/common/logging and src/common/debug; everything
- *                      else reports through warn()/inform()/GDS_DPRINTF so
- *                      emission stays mutex-serialized.
+ *                      else reports through log::warnf / log::infof
+ *                      (common/log) or GDS_DPRINTF so emission stays
+ *                      mutex-serialized.
  *  - no-unseeded-rng   R3: `rand()`, `srand()`, `std::random_device`, and
  *                      arglessly-constructed standard engines are banned
  *                      outside src/common/rng.hh; all randomness must be

@@ -41,6 +41,7 @@
 #include <thread>
 
 #include "common/jsonio.hh"
+#include "common/log.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/socket.hh"
@@ -53,8 +54,7 @@ namespace
 [[noreturn]] void
 usage()
 {
-    detail::emit(
-        "",
+    detail::emitRawLine(
         "usage: gds_cli [--socket PATH] COMMAND ...\n"
         "  submit --algo bfs|sssp|cc|sswp|pr --dataset NAME\n"
         "         [--system gds|graphicionado|gunrock] [--source VID]\n"
@@ -331,7 +331,7 @@ main(int argc, char **argv)
     try {
         cli = parseArgs(argc, argv);
     } catch (const ConfigError &e) {
-        warn("%s", e.what());
+        log::warnf("cli", {}, "%s", e.what());
         usage();
     }
 
