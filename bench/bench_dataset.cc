@@ -40,6 +40,7 @@
 #include "algo/reference_engine.hh"
 #include "common/rss.hh"
 #include "graph/loader.hh"
+#include "harness/manifest.hh"
 #include "harness/walltime.hh"
 #include "stats/json.hh"
 
@@ -283,7 +284,9 @@ main(int argc, char **argv)
          << "  \"quick\": " << (quick ? "true" : "false")
          << ",\n  \"scale\": " << graph::datasetScaleDivisor()
          << ",\n  \"parallelJobs\": " << parallel_jobs
-         << ",\n  \"cells\": [\n";
+         << ",\n  \"provenance\": ";
+    harness::writeProvenance(json);
+    json << ",\n  \"cells\": [\n";
 
     bool mismatch = false;
     bool first_cell = true;

@@ -13,10 +13,12 @@
  * far-memory tier (every wait stretches to hundreds of cycles while the
  * busy work stays constant — the truly memory-bound cell the >=3x
  * acceptance target is measured on), BFS and PR on RMAT (social-network
- * skew; busier pipelines, smaller but still real wins), and BFS on the
- * Graphicionado baseline.
+ * skew; busier pipelines, smaller but still real wins), and BFS and PR on
+ * the Graphicionado baseline (PR/RMAT is the costliest cell type of the
+ * evaluation matrix).
  *
- * Writes BENCH_simperf.json next to the binary's working directory.
+ * Writes BENCH_simperf.json next to the binary's working directory, with
+ * the build/host provenance block of harness::writeProvenance().
  * --quick shrinks the graphs for CI smoke runs.
  */
 
@@ -35,6 +37,7 @@
 #include "common/rss.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
+#include "harness/manifest.hh"
 #include "harness/walltime.hh"
 #include "mem/hbm.hh"
 #include "stats/json.hh"
@@ -241,10 +244,16 @@ main(int argc, char **argv)
         {"graphicionado/bfs/rmat", "BFS, RMAT, Graphicionado baseline",
          [quick] { return graph::rmat(quick ? 10 : 12, 16, 42, {}, false); },
          algo::AlgorithmId::Bfs, true, 1000});
+    workloads.push_back(
+        {"graphicionado/pr/rmat", "PR, RMAT, Graphicionado baseline",
+         [quick] { return graph::rmat(quick ? 9 : 12, 16, 42, {}, false); },
+         algo::AlgorithmId::Pr, true, quick ? 5u : 10u});
 
     std::ofstream json("BENCH_simperf.json");
     json << "{\n  \"bench\": \"simperf\",\n  \"quick\": "
-         << (quick ? "true" : "false") << ",\n  \"cells\": [\n";
+         << (quick ? "true" : "false") << ",\n  \"provenance\": ";
+    harness::writeProvenance(json);
+    json << ",\n  \"cells\": [\n";
 
     bool mismatch = false;
     bool first_cell = true;

@@ -95,7 +95,15 @@ GraphicionadoAccel::GraphicionadoAccel(const GraphicionadoConfig &config,
         v_count, edge_cursor, fmt, hasConstProp, sliceCount > 1);
     hbm = std::make_unique<mem::Hbm>(cfg.hbm, this);
 
-    streams.resize(cfg.numStreams);
+    if (cfg.numStreams == 0 || cfg.streamQueueRecords == 0 ||
+        cfg.streamLookahead == 0)
+        throw ConfigError("numStreams, streamQueueRecords and "
+                          "streamLookahead must be positive");
+    streams.reserve(cfg.numStreams);
+    for (unsigned s = 0; s < cfg.numStreams; ++s)
+        streams.emplace_back(cfg.streamQueueRecords);
+    headAct.resize(cfg.numStreams);
+    issueWindow.resize(cfg.numStreams);
 }
 
 GraphicionadoAccel::~GraphicionadoAccel() = default;
@@ -305,6 +313,38 @@ GraphicionadoAccel::startScatter()
         stream.records.clear();
         stream.edgeCursor = 0;
     }
+    headAct.clear();
+    issueWindow.clear();
+}
+
+bool
+GraphicionadoAccel::headCanAct(const Stream &stream) const
+{
+    if (stream.records.empty())
+        return false;
+    const std::uint64_t rec = stream.records.front();
+    return sc.fetch[rec].ready ||
+           sliceGraph(curSlice).outDegree(activeCur[curSlice][rec].vid) == 0;
+}
+
+bool
+GraphicionadoAccel::windowHasUnissued(const Stream &stream) const
+{
+    const std::size_t lookahead =
+        std::min<std::size_t>(stream.records.size(), cfg.streamLookahead);
+    for (std::size_t i = 0; i < lookahead; ++i) {
+        const RecordFetch &f = sc.fetch[stream.records[i]];
+        if (!f.ready && !f.allIssued)
+            return true;
+    }
+    return false;
+}
+
+void
+GraphicionadoAccel::refreshStream(unsigned s)
+{
+    headAct.set(s, headCanAct(streams[s]));
+    issueWindow.set(s, windowHasUnissued(streams[s]));
 }
 
 bool
@@ -320,31 +360,27 @@ GraphicionadoAccel::tickScatter()
     const graph::Csr &sg = sliceGraph(curSlice);
     const auto &records = activeCur[curSlice];
 
-    // --- Streams: one edge per cycle, stalling on RAW conflicts. ---
-    for (unsigned s = 0; s < cfg.numStreams; ++s) {
+    // --- Streams: one edge per cycle, stalling on RAW conflicts. Only
+    // streams whose head can act are visited; the rest would skip. ---
+    headAct.forEach([&](unsigned s) {
         Stream &stream = streams[s];
-        if (stream.records.empty())
-            continue;
         const std::uint64_t rec = stream.records.front();
         const ActiveRecord &r = records[rec];
         const std::uint64_t degree = sg.outDegree(r.vid);
         if (degree == 0) {
-            stream.records.pop_front();
+            stream.records.pop();
             stream.edgeCursor = 0;
             ++sc.recordsDone;
-            continue;
+            refreshStream(s);
+            return true;
         }
-        RecordFetch &f = sc.fetch[rec];
-        if (!f.ready)
-            continue; // edge data not yet on chip
-
         const EdgeTask &task = sc.fetchedEdges[rec][stream.edgeCursor];
         // Atomic enforcement: stall while a conflicting update is inside
         // the reduce pipeline.
         if (now - lastReduceAt[task.dst] < cfg.atomicPipelineDepth &&
             lastReduceAt[task.dst] != 0) {
             ++statAtomicStalls;
-            continue;
+            return true;
         }
         const PropValue res = algo.processEdge(r.prop, task.weight);
         tProp[task.dst] = algo.reduce(tProp[task.dst], res);
@@ -357,20 +393,22 @@ GraphicionadoAccel::tickScatter()
         ++sc.edgesReduced;
         progressed(now);
         if (++stream.edgeCursor == degree) {
-            stream.records.pop_front();
+            stream.records.pop();
             stream.edgeCursor = 0;
             sc.fetchedEdges[rec] = {};
             ++sc.recordsDone;
+            refreshStream(s);
         }
-    }
+        return true;
+    });
 
     // --- Per-stream edge prefetch (offsets are on chip, so fetches start
     // immediately; each record reads one sentinel record extra and every
-    // record carries src_vid). ---
+    // record carries src_vid). Streams whose window holds no unissued
+    // fetch would only skip every record, so they are not visited. ---
     unsigned issued = 0;
     bool mem_blocked = false;
-    for (unsigned s = 0; s < cfg.numStreams && issued < 8 && !mem_blocked;
-         ++s) {
+    issueWindow.forEach([&](unsigned s) {
         Stream &stream = streams[s];
         const std::size_t lookahead =
             std::min<std::size_t>(stream.records.size(),
@@ -410,7 +448,9 @@ GraphicionadoAccel::tickScatter()
             if (f.bytesIssued >= total)
                 f.allIssued = true;
         }
-    }
+        issueWindow.set(s, windowHasUnissued(stream));
+        return issued < 8 && !mem_blocked;
+    });
 
     // --- Vpref: stream active records, hash-assign to streams. ---
     while (sc.batchesIssued < sc.batchesTotal &&
@@ -433,11 +473,11 @@ GraphicionadoAccel::tickScatter()
         const std::uint64_t k = sc.commitCursor;
         if (!sc.batchReady[k / cfg.vprefBatch])
             break;
-        Stream &stream =
-            streams[records[k].vid % cfg.numStreams]; // hash placement
-        if (stream.records.size() >= cfg.streamQueueRecords)
+        const unsigned s = records[k].vid % cfg.numStreams; // hash placement
+        if (!streams[s].records.canPush())
             break; // head-of-line block: the imbalance bottleneck
-        stream.records.push_back(k);
+        streams[s].records.push(k);
+        refreshStream(s);
         ++sc.commitCursor;
         ++committed;
     }
@@ -577,10 +617,11 @@ GraphicionadoAccel::busy() const
         return true;
     if (vport.hasResponse() || eport.hasResponse() || wport.hasResponse())
         return true;
-    for (const Stream &stream : streams) {
-        if (!stream.records.empty())
-            return true;
-    }
+    // A non-empty stream is in one of the two sets unless its head waits
+    // on an edge fetch in flight (the head is always in the window), and
+    // that is the eport in-flight count above.
+    if (headAct.any() || issueWindow.any())
+        return true;
     return !ap.pendingApplies.empty() || !ap.writes.empty() ||
            ap.pendingAuRecords > 0;
 }
@@ -663,6 +704,7 @@ GraphicionadoAccel::tick()
                     weighted ? sg.edgeWeight(e) : Weight{1}});
             }
             f.ready = true;
+            refreshStream(r.vid % cfg.numStreams);
         }
     }
     while (wport.hasResponse())
@@ -699,7 +741,6 @@ GraphicionadoAccel::tick()
 bool
 GraphicionadoAccel::scatterQuiescent() const
 {
-    const graph::Csr &sg = sliceGraph(curSlice);
     const auto &records = activeCur[curSlice];
 
     // A drained phase transitions at the end of its next tick.
@@ -709,27 +750,13 @@ GraphicionadoAccel::scatterQuiescent() const
     // Streams: a head record with edge data (or none to fetch) acts next
     // tick -- reducing, RAW-stalling, or retiring. Only "waiting for edge
     // data" is a pure wait.
-    for (const Stream &stream : streams) {
-        if (stream.records.empty())
-            continue;
-        const std::uint64_t rec = stream.records.front();
-        if (sg.outDegree(records[rec].vid) == 0 || sc.fetch[rec].ready)
-            return false;
-    }
+    if (headAct.any())
+        return false;
     // Edge prefetch: with in-flight budget available, any lookahead record
     // still needing its fetch either issues a request or (degree 0) is
     // marked ready on the spot.
-    if (eport.inflight() < cfg.edgeMaxInflight) {
-        for (const Stream &stream : streams) {
-            const std::size_t lookahead = std::min<std::size_t>(
-                stream.records.size(), cfg.streamLookahead);
-            for (std::size_t i = 0; i < lookahead; ++i) {
-                const RecordFetch &f = sc.fetch[stream.records[i]];
-                if (!f.ready && !f.allIssued)
-                    return false;
-            }
-        }
-    }
+    if (eport.inflight() < cfg.edgeMaxInflight && issueWindow.any())
+        return false;
     // Vpref: an issuable record batch, or a commit neither blocked on
     // batch data nor on a full stream queue.
     if (sc.batchesIssued < sc.batchesTotal &&
@@ -856,7 +883,7 @@ GraphicionadoAccel::saveState(sim::Serializer &s) const
     s.writeU64(activatedThisIteration);
 
     for (const Stream &stream : streams) {
-        s.writePodDeque(stream.records);
+        stream.records.saveState(s);
         s.writeU32(stream.edgeCursor);
     }
 
@@ -924,7 +951,7 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     activatedThisIteration = d.readU64();
 
     for (Stream &stream : streams) {
-        d.readPodDeque(stream.records);
+        stream.records.restoreState(d);
         stream.edgeCursor = d.readU32();
     }
 
@@ -972,6 +999,27 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     eport.restoreState(d);
     wport.restoreState(d);
     hbm->restoreState(d);
+
+    headAct.clear();
+    issueWindow.clear();
+    if (phase == Phase::ScatterPhase) {
+        gds_require(curSlice < activeCur.size(), CheckpointError,
+                    "checkpoint scatter slice %u out of range", curSlice);
+        for (unsigned s = 0; s < cfg.numStreams; ++s) {
+            const Stream &stream = streams[s];
+            for (std::size_t i = 0; i < stream.records.size(); ++i) {
+                gds_require(stream.records[i] < sc.fetch.size() &&
+                                stream.records[i] <
+                                    activeCur[curSlice].size(),
+                            CheckpointError,
+                            "checkpoint stream %u holds record %llu out "
+                            "of range", s,
+                            static_cast<unsigned long long>(
+                                stream.records[i]));
+            }
+            refreshStream(s);
+        }
+    }
 }
 
 } // namespace gds::baseline

@@ -20,6 +20,13 @@
  *
  * Functional + timing combined, like GdsAccel: results are checked against
  * the reference engine in the tests.
+ *
+ * The scatter tick visits only streams with work: two stream sets (head
+ * can act; lookahead window has an unissued fetch) are kept exact at every
+ * push, pop and fetch completion and walked in ascending stream order, so
+ * the visit order, the RAW stall window and the 8-request issue budget
+ * match a full 0..numStreams-1 sweep. See DESIGN.md (Simulation
+ * performance).
  */
 
 #pragma once
@@ -142,6 +149,8 @@ class GraphicionadoAccel : public sim::Component
         bool started = false;
         bool allIssued = false;
         bool ready = false;
+        /** Explicit so checkpointed images carry no stray padding. */
+        std::uint8_t zero = 0;
         std::uint32_t parts = 0;
         std::uint64_t bytesIssued = 0;
     };
@@ -155,8 +164,58 @@ class GraphicionadoAccel : public sim::Component
     /** One processing stream (pipeline). */
     struct Stream
     {
-        std::deque<std::uint64_t> records; ///< assigned record indices
-        std::uint32_t edgeCursor = 0;      ///< progress in head record
+        explicit Stream(unsigned depth) : records(depth) {}
+
+        sim::BoundedQueue<std::uint64_t> records; ///< assigned record ids
+        std::uint32_t edgeCursor = 0;             ///< progress in head
+    };
+
+    /** A set of stream indices, walked in ascending order. */
+    class StreamSet
+    {
+      public:
+        void resize(unsigned n) { words.assign((n + 63) / 64, 0); }
+        void clear() { std::fill(words.begin(), words.end(), 0); }
+
+        void
+        set(unsigned s, bool member)
+        {
+            const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+            words[s / 64] = member ? words[s / 64] | bit
+                                   : words[s / 64] & ~bit;
+        }
+
+        bool
+        any() const
+        {
+            for (const std::uint64_t w : words)
+                if (w != 0)
+                    return true;
+            return false;
+        }
+
+        /**
+         * Call @p f(s) for each member in ascending order until it
+         * returns false. Each 64-stream word is read once up front, so
+         * @p f may update the membership of the stream it was given.
+         */
+        template <typename F>
+        void
+        forEach(F &&f) const
+        {
+            for (std::size_t w = 0; w < words.size(); ++w) {
+                for (std::uint64_t bits = words[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const auto s = static_cast<unsigned>(
+                        w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+                    if (!f(s))
+                        return;
+                }
+            }
+        }
+
+      private:
+        std::vector<std::uint64_t> words;
     };
 
     enum class Phase
@@ -174,6 +233,11 @@ class GraphicionadoAccel : public sim::Component
     void tickApply();
     bool applyDone() const;
     void finishSlice();
+
+    // Stream-set upkeep: recompute both memberships of one stream.
+    bool headCanAct(const Stream &stream) const;
+    bool windowHasUnissued(const Stream &stream) const;
+    void refreshStream(unsigned s);
 
     // Fast-forward quiescence predicates (mirror the phase tick paths).
     bool scatterQuiescent() const;
@@ -260,6 +324,19 @@ class GraphicionadoAccel : public sim::Component
     };
 
     std::vector<Stream> streams;
+    /**
+     * Streams whose head record acts next tick: non-empty, and the head
+     * either has degree 0 (retires) or its edge data is on chip (reduces
+     * or RAW-stalls).
+     */
+    // gds-ckpt: skip(headAct) derived from the stream queues and fetch
+    // states; rebuilt by restoreState()
+    StreamSet headAct;
+    /** Streams with a record in their lookahead window whose edge fetch
+     *  is neither ready nor fully issued. */
+    // gds-ckpt: skip(issueWindow) derived from the stream queues and fetch
+    // states; rebuilt by restoreState()
+    StreamSet issueWindow;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;

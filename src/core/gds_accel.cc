@@ -70,6 +70,8 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
         throw ConfigError(algo.name() + " needs a weighted graph");
     if (cfg.numPes == 0 || cfg.numUes % cfg.numPes != 0)
         throw ConfigError("numUes must be a positive multiple of numPes");
+    if (!isPow2(cfg.numUes)) // flits route by the low dst bits
+        throw ConfigError("numUes must be a nonzero power of two");
     if (cfg.numDispatchers != cfg.numPes)
         throw ConfigError("the DE->PE pairing assumes one DE per PE");
     // The workload queue must be able to hold the largest single
@@ -140,9 +142,10 @@ GdsAccel::buildInitialActives(VertexId source)
         for (unsigned s = 0; s < sliceCount; ++s) {
             const graph::Csr &sg = sliceGraph(s);
             activeCur[s].push_back(ActiveRecord{
-                v, prop[v],
-                static_cast<std::uint32_t>(sg.outDegree(v)),
-                sg.offsetOf(v)});
+                .vid = v,
+                .prop = prop[v],
+                .edgeCnt = static_cast<std::uint32_t>(sg.outDegree(v)),
+                .offset = sg.offsetOf(v)});
         }
     };
     if (algo.allInitiallyActive()) {
@@ -160,8 +163,10 @@ GdsAccel::activateVertex(VertexId v, PropValue new_prop)
     for (unsigned s = 0; s < sliceCount; ++s) {
         const graph::Csr &sg = sliceGraph(s);
         activeNext[s].push_back(ActiveRecord{
-            v, new_prop, static_cast<std::uint32_t>(sg.outDegree(v)),
-            sg.offsetOf(v)});
+            .vid = v,
+            .prop = new_prop,
+            .edgeCnt = static_cast<std::uint32_t>(sg.outDegree(v)),
+            .offset = sg.offsetOf(v)});
     }
     ap.auBufferedRecords += sliceCount;
 }

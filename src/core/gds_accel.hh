@@ -242,6 +242,9 @@ class GdsAccel : public sim::Component
         VertexId vid;
         PropValue prop;
         std::uint32_t edgeCnt;
+        /** Fills the alignment gap before offset, so checkpointed record
+         *  arrays carry no stray bytes (same 24 B layout as before). */
+        std::uint32_t zero = 0;
         EdgeId offset; ///< into the owning slice's edge array
     };
 
@@ -265,7 +268,8 @@ class GdsAccel : public sim::Component
     {
         VertexId startVid;
         std::uint16_t count;
-        std::uint32_t group; ///< index into ApplyState::groups
+        std::uint16_t zero = 0; ///< explicit alignment gap (see ActiveRecord)
+        std::uint32_t group;    ///< index into ApplyState::groups
     };
 
     /** Per-record edge-prefetch bookkeeping. Large edge lists are fetched
@@ -275,6 +279,7 @@ class GdsAccel : public sim::Component
         bool reserved = false;   ///< buffer budget reserved
         bool allIssued = false;  ///< every part request issued
         bool ready = false;      ///< edge data available for dispatch
+        std::uint8_t zero = 0;   ///< explicit alignment gap
         std::uint32_t parts = 0; ///< part responses still outstanding
         std::uint64_t bytesIssued = 0;
     };

@@ -199,7 +199,9 @@ GdsAccel::tickApplyCommit()
                 std::min<std::uint32_t>(cfg.vListSize,
                                         len - j * cfg.vListSize));
             pe.applyQueue.push(ApplyList{
-                start, count, static_cast<std::uint32_t>(g)});
+                .startVid = start,
+                .count = count,
+                .group = static_cast<std::uint32_t>(g)});
             ++gf.listsPushed;
         }
         ++ap.commitCursor;

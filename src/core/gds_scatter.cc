@@ -487,26 +487,33 @@ GdsAccel::tickPesScatter()
     if (scFlitsBuffered == 0 && scEdgesQueued == 0)
         return;
     xbar->beginCycle();
+    // numUes is a validated power of two: flits route by the low dst bits.
+    const unsigned ue_mask = cfg.numUes - 1;
     for (unsigned p = 0; p < cfg.numPes; ++p) {
         Pe &pe = pes[p];
 
         // Route up to nSimt buffered flits; blocked ones retry next cycle
         // (lanes are independent, so later flits may overtake a blocked
-        // one -- Reduce is commutative, Sec. 5.2.3).
+        // one -- Reduce is commutative, Sec. 5.2.3). One stable
+        // compaction pass keeps the blocked flits in order.
         unsigned routed = 0;
-        auto it = pe.pendingFlits.begin();
-        while (it != pe.pendingFlits.end() && routed < cfg.nSimt) {
-            const unsigned ue = it->dst % cfg.numUes;
-            if (ues[ue].inbox.canPush() && xbar->tryRoute(ue)) {
-                ues[ue].inbox.push(*it);
-                ++ueFlitsQueued;
-                it = pe.pendingFlits.erase(it);
-                --scFlitsBuffered;
-                ++routed;
-            } else {
-                ++it;
+        std::vector<ResultFlit> &flits = pe.pendingFlits;
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < flits.size(); ++i) {
+            const ResultFlit flit = flits[i];
+            if (routed < cfg.nSimt) {
+                const unsigned ue = flit.dst & ue_mask;
+                if (ues[ue].inbox.canPush() && xbar->tryRoute(ue)) {
+                    ues[ue].inbox.push(flit);
+                    ++ueFlitsQueued;
+                    --scFlitsBuffered;
+                    ++routed;
+                    continue;
+                }
             }
+            flits[kept++] = flit;
         }
+        flits.resize(kept);
 
         // S2V: assemble up to nSimt edges (merging small lists happens
         // naturally because the workload queue is edge-granular). Stall

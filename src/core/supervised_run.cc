@@ -21,8 +21,12 @@ namespace gds::core
 namespace
 {
 
-/** Layout version of the checkpoint payload written below. */
-constexpr std::uint32_t kStateVersion = 1;
+/**
+ * Layout version of the checkpoint payload written below. v2: the HBM
+ * saves per-channel burst-completion FIFOs instead of a global completion
+ * heap, and its request slab drops the per-request pending count.
+ */
+constexpr std::uint32_t kStateVersion = 2;
 
 /** Detaches the fault injector from the target on every exit path, so
  *  no component keeps a pointer to the destroyed injector. */
@@ -89,15 +93,18 @@ supervisedRun(const SupervisedTarget &target, const RunOptions &options,
     if (store && options.checkpoint.resume) {
         std::string reason;
         if (const auto loaded = store->loadLatest(&reason)) {
-            if (loaded->meta.stateVersion != kStateVersion ||
-                loaded->meta.identity != identity) {
-                log::warnf("ckpt", {},
-                           "ignoring checkpoint %s: identity/version mismatch "
-                           "(have \"%s\" v%u, want \"%s\" v%u); starting clean",
-                           store->currentPath().c_str(),
-                           loaded->meta.identity.c_str(),
-                           loaded->meta.stateVersion, identity.c_str(),
-                           kStateVersion);
+            // A checkpoint of another layout or run is refused, never
+            // restored; the run then starts clean rather than failing.
+            std::string refusal;
+            try {
+                loaded->meta.expectCompatible(kStateVersion, identity);
+            } catch (const CheckpointError &e) {
+                refusal = e.what();
+            }
+            if (!refusal.empty()) {
+                log::warnf("ckpt", {}, "ignoring checkpoint %s: %s; starting "
+                           "clean", store->currentPath().c_str(),
+                           refusal.c_str());
             } else {
                 sim::Deserializer d(loaded->payload);
                 target.top.restoreState(d);

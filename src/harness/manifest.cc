@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "graph/datasets.hh"
 #include "stats/json.hh"
 
@@ -157,6 +159,25 @@ buildGitSha()
 #else
     return "unknown";
 #endif
+}
+
+void
+writeProvenance(std::ostream &os)
+{
+#ifdef GDS_BUILD_TYPE
+    const char *build_type = GDS_BUILD_TYPE;
+#else
+    const char *build_type = "unknown";
+#endif
+    os << "{\"gitSha\":";
+    stats::emitJsonString(os, buildGitSha());
+    os << ",\"compiler\":";
+    stats::emitJsonString(os, std::string("g++ ") + __VERSION__);
+    os << ",\"buildType\":";
+    stats::emitJsonString(os, build_type);
+    os << ",\"hardwareThreads\":" << std::thread::hardware_concurrency()
+       << ",\"gdsJobs\":" << common::jobCount()
+       << ",\"gdsScale\":" << graph::datasetScaleDivisor() << "}";
 }
 
 void

@@ -43,6 +43,13 @@ std::string configHash(const baseline::GunrockConfig &cfg);
 /** The git SHA this binary was built from ("unknown" outside a repo). */
 const char *buildGitSha();
 
+/**
+ * Build and host provenance as one JSON object, for BENCH_*.json files:
+ * {"gitSha", "compiler", "buildType", "hardwareThreads", "gdsJobs",
+ *  "gdsScale"}. Two files carrying it can be compared field by field.
+ */
+void writeProvenance(std::ostream &os);
+
 /** Provenance of one evaluation cell. */
 struct ManifestCell
 {

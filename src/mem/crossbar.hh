@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/debug.hh"
@@ -29,7 +31,8 @@ class Crossbar : public sim::Component
   public:
     Crossbar(unsigned radix, sim::Component *parent)
         : sim::Component("crossbar", parent),
-          granted(radix, false),
+          ports(radix),
+          granted((radix + 63) / 64, 0),
           statFlits(&statsGroup(), "flits", "flits routed"),
           statConflicts(&statsGroup(), "conflicts",
                         "output-port conflicts (flit refused)"),
@@ -43,13 +46,13 @@ class Crossbar : public sim::Component
      *  output-port grants, modelling a glitching switch. */
     void setFaultInjector(sim::FaultInjector *injector) { fault = injector; }
 
-    unsigned radix() const { return static_cast<unsigned>(granted.size()); }
+    unsigned radix() const { return ports; }
 
     /** Reset per-cycle grant state. Call once at the start of each cycle. */
     void
     beginCycle()
     {
-        std::fill(granted.begin(), granted.end(), false);
+        std::fill(granted.begin(), granted.end(), 0);
     }
 
     /**
@@ -59,9 +62,10 @@ class Crossbar : public sim::Component
     bool
     tryRoute(unsigned output)
     {
-        gds_assert(output < granted.size(), "output port %u out of range",
-                   output);
-        if (granted[output]) {
+        gds_assert(output < ports, "output port %u out of range", output);
+        std::uint64_t &word = granted[output / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (output % 64);
+        if (word & bit) {
             ++statConflicts;
             return false;
         }
@@ -73,7 +77,7 @@ class Crossbar : public sim::Component
             }
             return false;
         }
-        granted[output] = true;
+        word |= bit;
         ++statFlits;
         return true;
     }
@@ -104,36 +108,49 @@ class Crossbar : public sim::Component
     /** Checkpoint: base progress/stats plus the grant mask. Checkpoints
      *  land between cycles, where the mask is the (already consumed)
      *  previous cycle's grants — serialized anyway so the state is
-     *  byte-for-byte identical to the uninterrupted run's. */
+     *  byte-for-byte identical to the uninterrupted run's. One byte per
+     *  output port, after the port count. */
     void
     saveState(sim::Serializer &s) const override
     {
         sim::Component::saveState(s);
-        s.writeBoolVec(granted);
+        s.writeU64(ports);
+        for (unsigned o = 0; o < ports; ++o)
+            s.writeBool((granted[o / 64] >> (o % 64)) & 1);
     }
 
     void
     restoreState(sim::Deserializer &d) override
     {
         sim::Component::restoreState(d);
-        d.readBoolVec(granted);
+        const std::uint64_t n = d.readU64();
+        gds_require(n == ports, CheckpointError,
+                    "checkpoint crossbar has %llu outputs, this config has "
+                    "%u", static_cast<unsigned long long>(n), ports);
+        std::fill(granted.begin(), granted.end(), 0);
+        for (unsigned o = 0; o < ports; ++o) {
+            if (d.readBool())
+                granted[o / 64] |= std::uint64_t{1} << (o % 64);
+        }
     }
 
     std::string
     debugState() const override
     {
         unsigned granted_now = 0;
-        for (const bool g : granted)
-            granted_now += g ? 1 : 0;
+        for (const std::uint64_t w : granted)
+            granted_now += static_cast<unsigned>(__builtin_popcountll(w));
         return "granted " + std::to_string(granted_now) + "/" +
-               std::to_string(granted.size()) + " outputs this cycle, " +
+               std::to_string(ports) + " outputs this cycle, " +
                std::to_string(static_cast<std::uint64_t>(
                    statConflicts.value())) +
                " conflicts total";
     }
 
   private:
-    std::vector<bool> granted;
+    unsigned ports; ///< radix; restore checks the checkpoint's count
+    /** Per-cycle grant mask, one bit per output port. */
+    std::vector<std::uint64_t> granted;
     // gds-ckpt: skip(fault) non-owning injector hook, re-attached by the
     // harness after restore (fault campaigns are not checkpointable)
     sim::FaultInjector *fault = nullptr;

@@ -73,8 +73,9 @@ Hbm::Hbm(const HbmConfig &config, sim::Component *parent)
         rowShift = log2Floor(tx_per_row);
         bankShift = log2Floor(cfg.banksPerChannel);
     }
-    channels.resize(cfg.numChannels);
+    channels.reserve(cfg.numChannels);
     for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
+        channels.emplace_back(cfg.queueDepth);
         channels[ch].banks.resize(cfg.banksPerChannel);
         // Stagger refresh across channels to avoid artificial beats.
         channels[ch].nextRefreshAt =
@@ -150,20 +151,27 @@ Hbm::access(Addr addr, unsigned bytes, bool is_write, std::uint64_t tag,
     if (!freeList.empty()) {
         index = freeList.back();
         freeList.pop_back();
-        requests[index] = Request{tag, port, tx_count, is_write, now};
+        requests[index] = Request{tag, port, is_write, now};
     } else {
         index = static_cast<std::uint32_t>(requests.size());
-        requests.push_back(Request{tag, port, tx_count, is_write, now});
+        requests.push_back(Request{tag, port, is_write, now});
     }
     requests[index].queuedTx = tx_count;
     port->_inflight += 1;
 
     for (Addr tx = first_tx; tx <= last_tx; ++tx) {
-        unsigned channel;
+        unsigned ch;
         std::uint32_t bank;
         std::uint64_t row;
-        mapAddress(tx, channel, bank, row);
-        channels[channel].queue.push_back(Transaction{index, bank, row});
+        mapAddress(tx, ch, bank, row);
+        Channel &channel = channels[ch];
+        const Transaction t{index, bank, row};
+        // A transaction landing inside the FR-FCFS window can only pull
+        // the channel's issue gate earlier; one behind it changes nothing.
+        if (channel.queue.size() < cfg.frfcfsWindow)
+            channel.issueGate =
+                std::min(channel.issueGate, txGate(channel, t));
+        channel.queue.push(t);
     }
     inflightTx += tx_count;
     queuedTxTotal += tx_count;
@@ -176,6 +184,32 @@ Hbm::access(Addr addr, unsigned bytes, bool is_write, std::uint64_t tag,
     else
         statReadBytes += moved;
     return true;
+}
+
+void
+Hbm::CompletionFifo::push(Cycle done)
+{
+    if (count == slots.size()) {
+        // Grow by doubling, unrolling the ring into the new storage.
+        std::vector<Cycle> grown(slots.empty() ? 16 : 2 * slots.size());
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = at(i);
+        slots.swap(grown);
+        head = 0;
+    }
+    slots[(head + count) & (slots.size() - 1)] = done;
+    ++count;
+}
+
+void
+Hbm::recomputeIssueGate(Channel &channel) const
+{
+    Cycle gate = kNeverEvent;
+    const std::size_t window =
+        std::min<std::size_t>(channel.queue.size(), cfg.frfcfsWindow);
+    for (std::size_t i = 0; i < window; ++i)
+        gate = std::min(gate, txGate(channel, channel.queue[i]));
+    channel.issueGate = gate;
 }
 
 void
@@ -194,8 +228,11 @@ Hbm::serviceChannel(unsigned ch)
             (channel.refreshBank + 1) % cfg.banksPerChannel;
         channel.nextRefreshAt += cfg.tRefi / cfg.banksPerChannel;
         ++statRefreshes;
+        recomputeIssueGate(channel);
     }
-    if (channel.queue.empty())
+    // The gate is exact, so before it no window entry is issuable and
+    // the scan below would find nothing.
+    if (now < channel.issueGate)
         return;
 
     // FR-FCFS: prefer the oldest row hit within the lookahead window,
@@ -220,12 +257,10 @@ Hbm::serviceChannel(unsigned ch)
     }
     if (pick == window)
         pick = oldest_miss;
-    if (pick == window)
-        return; // no bank ready this cycle
+    gds_assert(pick != window, "HBM issue gate passed with no issuable "
+                               "transaction in the window");
 
-    const Transaction tx = channel.queue[pick];
-    channel.queue.erase(channel.queue.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
+    const Transaction tx = channel.queue.removeAt(pick);
 
     Bank &bank = channel.banks[tx.bank];
     Cycle column_at;
@@ -246,7 +281,8 @@ Hbm::serviceChannel(unsigned ch)
     bank.nextReady = column_at + cfg.tCcd;
     statDataBusBusy += static_cast<double>(cfg.tBurst);
     ++statTransactions;
-    completions.push(Completion{done, tx.requestIndex});
+    channel.completions.push(done);
+    recomputeIssueGate(channel);
 
     // Once the last transaction issues, the request's delivery cycle is
     // fixed: from here on only that cycle (not every burst landing) is a
@@ -261,17 +297,20 @@ Hbm::serviceChannel(unsigned ch)
 }
 
 void
-Hbm::finishCompletions()
+Hbm::deliverResponses()
 {
-    while (!completions.empty() && completions.top().at <= now) {
-        const std::uint32_t index = completions.top().requestIndex;
-        completions.pop();
+    // Every burst of a request has landed by its finish cycle, so the
+    // response is due exactly then. Equal-cycle entries pop in heap
+    // order; requesters act on responses only at their next tick, so the
+    // order within one cycle is unobservable.
+    while (!requestFinishes.empty() && requestFinishes.top().at <= now) {
+        const std::uint32_t index = requestFinishes.top().requestIndex;
+        requestFinishes.pop();
         Request &req = requests[index];
-        gds_assert(req.pendingTx > 0, "double completion");
-        --inflightTx;
-        if (--req.pendingTx != 0)
-            continue;
-        if (fault && !req.faultChecked) {
+        if (req.faultChecked) {
+            // A delayed redelivery: it held one occupancy slot meanwhile.
+            --inflightTx;
+        } else if (fault) {
             req.faultChecked = true;
             if (fault->dropResponse()) {
                 // The response is lost on the wire: the requester keeps
@@ -287,9 +326,7 @@ Hbm::finishCompletions()
                 ++statFaultDelayed;
                 if (obs::Tracer *t = obs::activeTracer())
                     t->instant(t->track(tracePath()), "fault:delay", now);
-                req.pendingTx = 1;
                 ++inflightTx;
-                completions.push(Completion{now + delay, index});
                 requestFinishes.push(Completion{now + delay, index});
                 continue;
             }
@@ -306,16 +343,17 @@ Hbm::finishCompletions()
 void
 Hbm::tick()
 {
-    finishCompletions();
-    // Matured finish events were acted on just now (response delivered,
-    // or superseded by a delayed-fault redelivery pushed at the deferred
-    // cycle); drop them so the horizon never reports a stale event.
-    while (!requestFinishes.empty() && requestFinishes.top().at <= now)
-        requestFinishes.pop();
+    deliverResponses();
     for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
+        Channel &channel = channels[ch];
+        while (!channel.completions.empty() &&
+               channel.completions.front() <= now) {
+            channel.completions.pop();
+            --inflightTx;
+        }
         // Nothing queued and no refresh due: the channel provably does
         // nothing this cycle, so skip the call entirely.
-        if (channels[ch].queue.empty() && now < channels[ch].nextRefreshAt)
+        if (channel.queue.empty() && now < channel.nextRefreshAt)
             continue;
         serviceChannel(ch);
     }
@@ -339,24 +377,15 @@ Hbm::nextEventCycle() const
     if (queuedTxTotal == 0)
         return horizon; // nothing waiting to issue: O(1) in a pure wait
     for (const Channel &channel : channels) {
-        if (channel.queue.empty())
+        // Empty queues hold kNeverEvent. A refresh inside the window can
+        // only delay a gate further (close the row, raise nextReady), so
+        // the pre-refresh gate is a safe lower bound.
+        const Cycle gate = channel.issueGate;
+        if (gate == kNeverEvent)
             continue;
-        const std::size_t window =
-            std::min<std::size_t>(channel.queue.size(), cfg.frfcfsWindow);
-        for (std::size_t i = 0; i < window; ++i) {
-            const Transaction &tx = channel.queue[i];
-            const Bank &bank = channel.banks[tx.bank];
-            Cycle gate = bank.nextReady;
-            if (bank.openRow != tx.row)
-                gate = std::max(gate, channel.nextActivateAt);
-            // A refresh inside the window can only delay this further
-            // (close the row, raise nextReady), so the pre-refresh gate
-            // is a safe lower bound.
-            horizon =
-                std::min(horizon, gate > now ? gate - now + 1 : Cycle{1});
-            if (horizon == 1)
-                return 1;
-        }
+        if (gate <= now)
+            return 1;
+        horizon = std::min(horizon, gate - now + 1);
     }
     return horizon;
 }
@@ -370,35 +399,29 @@ Hbm::skipCycles(Cycle cycles)
     gds_assert(requestFinishes.empty() || requestFinishes.top().at > last,
                "fast-forward across a matured HBM request completion");
 
-    // Retire the intermediate transaction completions maturing inside the
-    // window exactly as the skipped ticks would have, integrating the
-    // occupancy stat piecewise around each retirement. None of them can
-    // finish a request (the assert above), so no port response, fault
-    // draw, latency stat or progress mark is due.
-    Cycle cursor = now; // next cycle whose occupancy is unaccounted
-    while (!completions.empty() && completions.top().at <= last) {
-        const Cycle at = completions.top().at;
-        statOccupancySum += static_cast<double>(at - cursor) *
-                            static_cast<double>(inflightTx);
-        cursor = at;
-        while (!completions.empty() && completions.top().at == at) {
-            Request &req = requests[completions.top().requestIndex];
-            completions.pop();
-            gds_assert(req.pendingTx > 1,
-                       "request-finishing completion inside a skipped "
-                       "window");
-            --req.pendingTx;
+    // Retire the burst completions maturing inside the window exactly as
+    // the skipped ticks would have. Naive ticking adds the in-flight count
+    // once per cycle, after that cycle's retirements, so a burst landing
+    // at cycle `at` drops out of the last (now + cycles - at) cycles'
+    // sums. None of them finishes a request (the assert above), so no
+    // port response, fault draw, latency stat or progress mark is due.
+    std::uint64_t occupancy = cycles * inflightTx;
+    for (Channel &channel : channels) {
+        while (!channel.completions.empty() &&
+               channel.completions.front() <= last) {
+            const Cycle at = channel.completions.front();
+            gds_assert(at >= now, "stale burst completion before a skip");
+            channel.completions.pop();
+            occupancy -= now + cycles - at;
             --inflightTx;
         }
-    }
-    statOccupancySum += static_cast<double>(now + cycles - cursor) *
-                        static_cast<double>(inflightTx);
 
-    // Replay the refreshes naive ticking would have issued inside the
-    // window, at their exact scheduled cycles; nothing else can happen in
-    // a window nextEventCycle() declared pure. nextRefreshAt >= now here
-    // because the preceding tick fired every refresh due by then.
-    for (Channel &channel : channels) {
+        // Replay the refreshes naive ticking would have issued inside the
+        // window, at their exact scheduled cycles; nothing else can
+        // happen in a window nextEventCycle() declared pure.
+        // nextRefreshAt >= now here because the preceding tick fired
+        // every refresh due by then.
+        bool refreshed = false;
         while (channel.nextRefreshAt <= last) {
             Bank &bank = channel.banks[channel.refreshBank];
             bank.openRow = noRow;
@@ -408,8 +431,12 @@ Hbm::skipCycles(Cycle cycles)
                 (channel.refreshBank + 1) % cfg.banksPerChannel;
             channel.nextRefreshAt += cfg.tRefi / cfg.banksPerChannel;
             ++statRefreshes;
+            refreshed = true;
         }
+        if (refreshed)
+            recomputeIssueGate(channel);
     }
+    statOccupancySum += static_cast<double>(occupancy);
     now += cycles;
 }
 
@@ -417,13 +444,16 @@ std::string
 Hbm::debugState() const
 {
     std::size_t queued = 0;
-    for (const Channel &ch : channels)
+    std::size_t landing = 0;
+    for (const Channel &ch : channels) {
         queued += ch.queue.size();
+        landing += ch.completions.size();
+    }
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   "inflightTx=%llu queuedTx=%zu completions=%zu",
                   static_cast<unsigned long long>(inflightTx), queued,
-                  completions.size());
+                  landing);
     return buf;
 }
 
@@ -452,7 +482,10 @@ Hbm::saveState(sim::Serializer &s) const
     s.writeMarker(kHbmMarker);
     s.writeU64(channels.size());
     for (const Channel &channel : channels) {
-        s.writePodDeque(channel.queue);
+        channel.queue.saveState(s);
+        s.writeU64(channel.completions.size());
+        for (std::size_t i = 0; i < channel.completions.size(); ++i)
+            s.writeU64(channel.completions.at(i));
         s.writePodVec(channel.banks);
         s.writeU64(channel.busFreeAt);
         s.writeU64(channel.nextActivateAt);
@@ -467,7 +500,6 @@ Hbm::saveState(sim::Serializer &s) const
     for (const Request &req : requests) {
         s.writeU64(req.tag);
         s.writePointer(req.port);
-        s.writeU32(req.pendingTx);
         s.writeBool(req.isWrite);
         s.writeU64(req.issuedAt);
         s.writeBool(req.faultChecked);
@@ -475,7 +507,6 @@ Hbm::saveState(sim::Serializer &s) const
         s.writeU64(req.finishAt);
     }
     s.writePodVec(freeList);
-    s.writePodVec(Pq::container(completions));
     s.writePodVec(Pq::container(requestFinishes));
     s.writeU64(inflightTx);
     s.writeU64(queuedTxTotal);
@@ -494,8 +525,26 @@ Hbm::restoreState(sim::Deserializer &d)
                 "checkpoint has %llu HBM channels, this config has %zu",
                 static_cast<unsigned long long>(nch), channels.size());
     for (Channel &channel : channels) {
-        d.readPodDeque(channel.queue);
+        channel.queue.restoreState(d);
+        channel.completions.clear();
+        const std::uint64_t landing = d.readU64();
+        gds_require(landing <= d.remaining() / sizeof(Cycle),
+                    CheckpointError,
+                    "checkpoint truncated: %llu HBM burst completions",
+                    static_cast<unsigned long long>(landing));
+        Cycle prev = 0;
+        for (std::uint64_t i = 0; i < landing; ++i) {
+            const Cycle done = d.readU64();
+            gds_require(i == 0 || done > prev, CheckpointError,
+                        "HBM burst completions out of order");
+            channel.completions.push(done);
+            prev = done;
+        }
         d.readPodVec(channel.banks);
+        gds_require(channel.banks.size() == cfg.banksPerChannel,
+                    CheckpointError,
+                    "checkpoint has %zu banks per channel, config has %u",
+                    channel.banks.size(), cfg.banksPerChannel);
         channel.busFreeAt = d.readU64();
         channel.nextActivateAt = d.readU64();
         channel.nextRefreshAt = d.readU64();
@@ -508,7 +557,6 @@ Hbm::restoreState(sim::Deserializer &d)
         Request req{};
         req.tag = d.readU64();
         req.port = d.readPointer<HbmPort>();
-        req.pendingTx = d.readU32();
         req.isWrite = d.readBool();
         req.issuedAt = d.readU64();
         req.faultChecked = d.readBool();
@@ -517,11 +565,22 @@ Hbm::restoreState(sim::Deserializer &d)
         requests.push_back(req);
     }
     d.readPodVec(freeList);
-    d.readPodVec(Pq::container(completions));
     d.readPodVec(Pq::container(requestFinishes));
     inflightTx = d.readU64();
     queuedTxTotal = d.readU64();
     now = d.readU64();
+    for (Channel &channel : channels) {
+        for (std::size_t i = 0; i < channel.queue.size(); ++i) {
+            gds_require(channel.queue[i].bank < cfg.banksPerChannel &&
+                            channel.queue[i].requestIndex < requests.size(),
+                        CheckpointError,
+                        "HBM transaction references bank %u / request %u "
+                        "out of range",
+                        channel.queue[i].bank,
+                        channel.queue[i].requestIndex);
+        }
+        recomputeIssueGate(channel);
+    }
 }
 
 } // namespace gds::mem

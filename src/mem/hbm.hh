@@ -15,6 +15,12 @@
  *
  * Requesters own a Port; responses (request tags) appear in the port's
  * response queue once every transaction of the request has completed.
+ *
+ * Host cost scales with the work done in a cycle, not with the number of
+ * queued transactions: each channel keeps a FIFO of its in-flight burst
+ * completion cycles (ascending by construction) and caches the earliest
+ * cycle its FR-FCFS window can issue, so a waiting channel is neither
+ * rescanned nor re-sorted. See DESIGN.md (Simulation performance).
  */
 
 #pragma once
@@ -25,6 +31,7 @@
 
 #include "sim/component.hh"
 #include "sim/fault.hh"
+#include "sim/queues.hh"
 
 namespace gds::mem
 {
@@ -152,12 +159,13 @@ class Hbm : public sim::Component
 
     /**
      * Checkpoint every live timing structure: per-channel queues, bank
-     * rows, bus/activate/refresh clocks, the request slab (ports travel
-     * as pointer-registry references — register every HbmPort on the
-     * Serializer/Deserializer before calling), the free list, and both
-     * completion heaps copied verbatim so equal-time pops replay in the
-     * exact pre-checkpoint order. Geometry and timing come from the
-     * constructor's config and are not serialized.
+     * rows, bus/activate/refresh clocks and burst-completion FIFOs, the
+     * request slab (ports travel as pointer-registry references —
+     * register every HbmPort on the Serializer/Deserializer before
+     * calling), the free list, and the request-finish heap copied
+     * verbatim so equal-time pops replay in the exact pre-checkpoint
+     * order. Geometry and timing come from the constructor's config and
+     * are not serialized; the per-channel issue gates are rebuilt.
      */
     void saveState(sim::Serializer &s) const override;
     void restoreState(sim::Deserializer &d) override;
@@ -221,12 +229,13 @@ class Hbm : public sim::Component
     {
         std::uint64_t tag;
         HbmPort *port;
-        unsigned pendingTx;
         bool isWrite;
         Cycle issuedAt;
-        bool faultChecked = false; ///< injector consulted for this request
-        unsigned queuedTx = 0;     ///< transactions not yet issued
-        Cycle finishAt = 0;        ///< max completion time issued so far
+        /** Injector consulted for this request. A finish event popped for
+         *  a request that is already checked is a delayed redelivery. */
+        bool faultChecked = false;
+        unsigned queuedTx = 0; ///< transactions not yet issued
+        Cycle finishAt = 0;    ///< max completion time issued so far
     };
 
     struct Transaction
@@ -242,20 +251,65 @@ class Hbm : public sim::Component
         Cycle nextReady = 0;
     };
 
+    /**
+     * Completion cycles of a channel's issued bursts, oldest first. A
+     * channel's data bus serializes its bursts (done = max(column + tCL,
+     * busFreeAt) + tBurst, then busFreeAt = done), so the cycles strictly
+     * increase and push order is completion order. Unbounded (the bus
+     * can fall behind the issue slot), so it grows by doubling and then
+     * never allocates again.
+     */
+    class CompletionFifo
+    {
+      public:
+        bool empty() const { return count == 0; }
+        std::size_t size() const { return count; }
+        Cycle front() const { return slots[head]; }
+        Cycle at(std::size_t i) const
+        {
+            return slots[(head + i) & (slots.size() - 1)];
+        }
+        void pop()
+        {
+            head = (head + 1) & (slots.size() - 1);
+            --count;
+        }
+        void push(Cycle done);
+        void clear() { head = count = 0; }
+
+      private:
+        std::vector<Cycle> slots; ///< power-of-two capacity (or empty)
+        std::size_t head = 0;
+        std::size_t count = 0;
+    };
+
     struct Channel
     {
-        std::deque<Transaction> queue;
+        explicit Channel(unsigned queue_depth) : queue(queue_depth) {}
+
+        sim::BoundedQueue<Transaction> queue; ///< FR-FCFS order = age
+        CompletionFifo completions;           ///< in-flight bursts
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         Cycle nextActivateAt = 0; ///< tRRD gate
-        Cycle nextRefreshAt;
+        Cycle nextRefreshAt = 0;
         unsigned refreshBank = 0; ///< round-robin per-bank refresh index
+        /**
+         * Earliest cycle at which some transaction in the FR-FCFS window
+         * can issue (kNeverEvent when the queue is empty). Derived from
+         * the window and the bank/tRRD state, and recomputed whenever one
+         * of those changes (issue, refresh, a push into the window,
+         * restore), so it is exact: a cycle before it issues nothing.
+         */
+        Cycle issueGate = kNeverEvent;
     };
 
     struct Completion
     {
         Cycle at;
         std::uint32_t requestIndex;
+        /** Explicit so checkpointed heap images carry no stray bytes. */
+        std::uint32_t zero = 0;
         bool operator>(const Completion &o) const { return at > o.at; }
     };
 
@@ -274,8 +328,19 @@ class Hbm : public sim::Component
                          : tx_addr % cfg.numChannels);
     }
 
+    /** Issue gate of one queued transaction (see Channel::issueGate). */
+    Cycle
+    txGate(const Channel &channel, const Transaction &tx) const
+    {
+        const Bank &bank = channel.banks[tx.bank];
+        return bank.openRow == tx.row
+                   ? bank.nextReady
+                   : std::max(bank.nextReady, channel.nextActivateAt);
+    }
+
+    void recomputeIssueGate(Channel &channel) const;
     void serviceChannel(unsigned ch);
-    void finishCompletions();
+    void deliverResponses();
 
     // gds-ckpt: skip(cfg) construction-time geometry/timing config; the
     // restore path verifies the config hash instead of serializing it
@@ -296,17 +361,12 @@ class Hbm : public sim::Component
     std::vector<Channel> channels;
     std::vector<Request> requests;       ///< slab of live requests
     std::vector<std::uint32_t> freeList; ///< recycled request slots
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions;
     /**
-     * Externally visible completion events: one entry per fully-issued
+     * The only response delivery path: one entry per fully-issued
      * request, stamped with its last transaction's completion time (the
-     * cycle its port response appears). Intermediate transaction
-     * completions are internal bookkeeping the fast-forward path replays
-     * in bulk, so only these bound the idle horizon. Entries are pruned
-     * by time once they mature (a delayed-fault redelivery pushes a fresh
-     * entry at the deferred time).
+     * cycle its port response appears), plus one per delayed-fault
+     * redelivery at the deferred time. Burst completions (the channel
+     * FIFOs) only retire occupancy, so only these bound the idle horizon.
      */
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>

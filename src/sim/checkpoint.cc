@@ -146,6 +146,18 @@ restoreStats(Deserializer &d, stats::Group &group)
     }
 }
 
+void
+CheckpointMeta::expectCompatible(std::uint32_t state_version,
+                                 const std::string &expected_identity) const
+{
+    gds_require(stateVersion == state_version, CheckpointError,
+                "checkpoint state version %u, this build reads v%u",
+                stateVersion, state_version);
+    gds_require(identity == expected_identity, CheckpointError,
+                "checkpoint identity \"%s\" does not match \"%s\"",
+                identity.c_str(), expected_identity.c_str());
+}
+
 CheckpointStore::CheckpointStore(std::string directory,
                                  std::string base_name)
     : dir(std::move(directory))

@@ -99,15 +99,6 @@ class Serializer
             writeRaw(&e, sizeof e);
     }
 
-    /** std::vector<bool> has no contiguous storage; one byte per bit. */
-    void
-    writeBoolVec(const std::vector<bool> &v)
-    {
-        writeU64(v.size());
-        for (const bool b : v)
-            writeU8(b ? 1 : 0);
-    }
-
     /**
      * Enroll a live object address. Pointers are serialized as the index
      * of their registration; the restore side must registerPointer() the
@@ -241,16 +232,6 @@ class Deserializer
             out.push_back(readRawAs<T>());
     }
 
-    void
-    readBoolVec(std::vector<bool> &out)
-    {
-        const std::uint64_t n = readU64();
-        need(n);
-        out.assign(static_cast<std::size_t>(n), false);
-        for (std::uint64_t i = 0; i < n; ++i)
-            out[static_cast<std::size_t>(i)] = data[pos++] != 0;
-    }
-
     /** Mirror of Serializer::registerPointer; same objects, same order. */
     void registerPointer(void *p) { ptrs.push_back(p); }
 
@@ -328,6 +309,16 @@ struct CheckpointMeta
     std::string identity;
     /** Component-local clock at the snapshot (diagnostics only). */
     Cycle cycle = 0;
+
+    /**
+     * Refuse a resume into state this checkpoint does not describe.
+     * @throws CheckpointError when the state version differs from
+     *         @p state_version (another serialization layout) or the
+     *         identity differs from @p expected_identity (another
+     *         config, graph, algorithm or accelerator).
+     */
+    void expectCompatible(std::uint32_t state_version,
+                          const std::string &expected_identity) const;
 };
 
 /**

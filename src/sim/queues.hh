@@ -6,12 +6,21 @@
  * exerts backpressure (the producer must check canPush()). DelayQueue adds
  * a fixed pipeline latency: an element pushed at cycle T becomes visible to
  * the consumer at cycle T + latency, modelling SRAM/eDRAM access pipelines.
+ *
+ * Both are rings over storage sized once at construction, so the
+ * per-cycle push/pop path never allocates. Checkpoints carry the size and
+ * then the elements oldest first; where a slot sits in the ring is not
+ * state and is not serialized.
  */
 
 #pragma once
 
-#include <deque>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -23,46 +32,81 @@ template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t queue_capacity)
-        : _capacity(queue_capacity)
+    explicit BoundedQueue(std::size_t queue_capacity) : slots(queue_capacity)
     {
-        gds_assert(_capacity > 0, "queue capacity must be positive");
+        gds_assert(!slots.empty(), "queue capacity must be positive");
     }
 
-    bool canPush() const { return entries.size() < _capacity; }
-    bool empty() const { return entries.empty(); }
-    std::size_t size() const { return entries.size(); }
-    std::size_t capacity() const { return _capacity; }
+    bool canPush() const { return count < slots.size(); }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    std::size_t capacity() const { return slots.size(); }
 
     void
     push(T value)
     {
         gds_assert(canPush(), "push into full queue (capacity %zu)",
-                   _capacity);
-        entries.push_back(std::move(value));
+                   slots.size());
+        slots[wrap(head + count)] = std::move(value);
+        ++count;
     }
 
     const T &
     front() const
     {
-        gds_assert(!entries.empty(), "front of empty queue");
-        return entries.front();
+        gds_assert(count != 0, "front of empty queue");
+        return slots[head];
     }
 
     T &
     front()
     {
-        gds_assert(!entries.empty(), "front of empty queue");
-        return entries.front();
+        gds_assert(count != 0, "front of empty queue");
+        return slots[head];
+    }
+
+    /** The @p i-th oldest element (0 = front). */
+    const T &
+    operator[](std::size_t i) const
+    {
+        gds_assert(i < count, "queue index %zu out of range (size %zu)", i,
+                   count);
+        return slots[wrap(head + i)];
     }
 
     T
     pop()
     {
-        gds_assert(!entries.empty(), "pop from empty queue");
-        T value = std::move(entries.front());
-        entries.pop_front();
+        gds_assert(count != 0, "pop from empty queue");
+        T value = std::move(slots[head]);
+        head = wrap(head + 1);
+        --count;
         return value;
+    }
+
+    /**
+     * Remove and return the @p i-th oldest element. The elements ahead of
+     * it shift one slot toward the tail, so FIFO order is kept (FR-FCFS
+     * picks inside a short lookahead window, so @p i is small).
+     */
+    T
+    removeAt(std::size_t i)
+    {
+        gds_assert(i < count, "queue index %zu out of range (size %zu)", i,
+                   count);
+        T value = std::move(slots[wrap(head + i)]);
+        for (std::size_t j = i; j > 0; --j)
+            slots[wrap(head + j)] = std::move(slots[wrap(head + j - 1)]);
+        head = wrap(head + 1);
+        --count;
+        return value;
+    }
+
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
     }
 
     /** Checkpoint hook; capacity is configuration, only contents move. */
@@ -70,19 +114,36 @@ class BoundedQueue
     void
     saveState(SER &s) const
     {
-        s.writePodDeque(entries);
+        s.writeU64(count);
+        for (std::size_t i = 0; i < count; ++i)
+            s.writePod(slots[wrap(head + i)]);
     }
 
     template <typename DES>
     void
     restoreState(DES &d)
     {
-        d.readPodDeque(entries);
+        const std::uint64_t n = d.readU64();
+        gds_require(n <= slots.size(), CheckpointError,
+                    "checkpoint queue holds %llu elements, capacity is %zu",
+                    static_cast<unsigned long long>(n), slots.size());
+        head = 0;
+        count = static_cast<std::size_t>(n);
+        for (std::size_t i = 0; i < count; ++i)
+            slots[i] = d.template readPod<T>();
     }
 
   private:
-    std::size_t _capacity;
-    std::deque<T> entries;
+    /** Index arithmetic stays below 2 x capacity, so one compare wraps. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= slots.size() ? i - slots.size() : i;
+    }
+
+    std::vector<T> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
 };
 
 /**
@@ -94,10 +155,8 @@ class DelayQueue
 {
   public:
     DelayQueue(std::size_t queue_capacity, Cycle delay_cycles)
-        : _capacity(queue_capacity), delay(delay_cycles)
-    {
-        gds_assert(_capacity > 0, "queue capacity must be positive");
-    }
+        : entries(queue_capacity), delay(delay_cycles)
+    {}
 
     void tick() { ++now; }
 
@@ -129,7 +188,7 @@ class DelayQueue
                                               : entries.front().readyAt - now;
     }
 
-    bool canPush() const { return entries.size() < _capacity; }
+    bool canPush() const { return entries.canPush(); }
     std::size_t size() const { return entries.size(); }
     bool empty() const { return entries.empty(); }
 
@@ -144,8 +203,8 @@ class DelayQueue
     push(T value)
     {
         gds_assert(canPush(), "push into full delay queue (capacity %zu)",
-                   _capacity);
-        entries.push_back(Entry{now + delay, std::move(value)});
+                   entries.capacity());
+        entries.push(Entry{now + delay, std::move(value)});
     }
 
     const T &
@@ -159,19 +218,27 @@ class DelayQueue
     pop()
     {
         gds_assert(ready(), "pop from non-ready delay queue");
-        T value = std::move(entries.front().value);
-        entries.pop_front();
-        return value;
+        return entries.pop().value;
     }
 
-    /** Checkpoint hook: local clock plus in-flight entries (their
-     *  readyAt stamps are relative to that clock, so both travel). */
+    /**
+     * Checkpoint hook: local clock plus in-flight entries (their readyAt
+     * stamps are relative to that clock, so both travel). Each entry is
+     * written as its in-memory image with the tail padding spelled out
+     * as zero bytes, so equal queues always serialize to equal bytes.
+     */
     template <typename SER>
     void
     saveState(SER &s) const
     {
         s.writeU64(now);
-        s.writePodDeque(entries);
+        s.writeU64(entries.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            s.writeU64(entries[i].readyAt);
+            s.writePod(entries[i].value);
+            for (std::size_t b = 0; b < kTailPadding; ++b)
+                s.writeU8(0);
+        }
     }
 
     template <typename DES>
@@ -179,7 +246,18 @@ class DelayQueue
     restoreState(DES &d)
     {
         now = d.readU64();
-        d.readPodDeque(entries);
+        const std::uint64_t n = d.readU64();
+        gds_require(n <= entries.capacity(), CheckpointError,
+                    "checkpoint delay queue holds %llu elements, "
+                    "capacity is %zu",
+                    static_cast<unsigned long long>(n), entries.capacity());
+        entries.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const Cycle ready_at = d.readU64();
+            entries.push(Entry{ready_at, d.template readPod<T>()});
+            for (std::size_t b = 0; b < kTailPadding; ++b)
+                d.readU8();
+        }
     }
 
   private:
@@ -188,11 +266,14 @@ class DelayQueue
         Cycle readyAt;
         T value;
     };
+    static_assert(offsetof(Entry, value) == sizeof(Cycle),
+                  "DelayQueue element must not need over-alignment");
+    static constexpr std::size_t kTailPadding =
+        sizeof(Entry) - sizeof(Cycle) - sizeof(T);
 
-    std::size_t _capacity;
+    BoundedQueue<Entry> entries;
     Cycle delay;
     Cycle now = 0;
-    std::deque<Entry> entries;
 };
 
 } // namespace gds::sim

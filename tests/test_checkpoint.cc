@@ -407,6 +407,97 @@ TEST_F(CheckpointTest, CorruptCheckpointFilesAreRejectedWithTypedErrors)
                  CheckpointError);
 }
 
+TEST_F(CheckpointTest, PreviousStateVersionIsRefusedWithTypedError)
+{
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Bfs;
+    const Scenario sc;
+    const RunArtifacts ref = runScenario(sc, g, id, {});
+
+    core::CheckpointOptions ck;
+    ck.dir = "ckpt";
+    ck.basename = "version";
+    ck.interval = std::max<Cycle>(1, ref.result.cycles / 4);
+    runScenario(sc, g, id, ck, ref.result.cycles / 2);
+    const sim::CheckpointStore store("ckpt", "version");
+    const sim::CheckpointStore::Loaded current =
+        sim::CheckpointStore::readFile(store.currentPath());
+    const sim::CheckpointMeta &meta = current.meta;
+    ASSERT_GT(meta.stateVersion, 1u);
+    EXPECT_NO_THROW(meta.expectCompatible(meta.stateVersion, meta.identity));
+
+    // The same payload stamped with the previous layout version.
+    sim::CheckpointMeta old = meta;
+    old.stateVersion = meta.stateVersion - 1;
+    EXPECT_THROW(old.expectCompatible(meta.stateVersion, meta.identity),
+                 CheckpointError);
+    sim::CheckpointMeta foreign = meta;
+    foreign.identity += "|other";
+    EXPECT_THROW(foreign.expectCompatible(meta.stateVersion, meta.identity),
+                 CheckpointError);
+
+    // End to end: a resume finds only the old-version file, refuses it
+    // and runs from cycle zero to the exact uninterrupted result.
+    std::filesystem::remove(store.previousPath());
+    sim::Serializer payload;
+    for (const std::uint8_t b : current.payload)
+        payload.writeU8(b);
+    std::filesystem::remove(store.currentPath());
+    sim::CheckpointStore("ckpt", "version").write(old, payload);
+    ASSERT_EQ(sim::CheckpointStore::readFile(store.currentPath())
+                  .meta.stateVersion,
+              old.stateVersion);
+    ck.resume = true;
+    ck.interval = 0;
+    expectExactMatch(runScenario(sc, g, id, ck), ref);
+}
+
+/** Read a whole file as bytes. */
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Refill the allocator's free lists with a non-zero pattern, so stale
+ *  bytes (struct padding) in the next run cannot match by accident. */
+void
+poisonHeap()
+{
+    std::vector<std::vector<std::uint8_t>> junk;
+    for (std::size_t n = 8; n < 20000; ++n)
+        junk.emplace_back(8 + n % 120, static_cast<std::uint8_t>(0xa5 ^ n));
+}
+
+TEST_F(CheckpointTest, IdenticalRunsWriteByteIdenticalCheckpoints)
+{
+    // PR activates every vertex, so the active-record arrays (the
+    // widest padded structures) are in every checkpoint.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    for (const bool gio : {false, true}) {
+        Scenario sc;
+        sc.graphicionado = gio;
+        SCOPED_TRACE(sc.tag());
+        std::vector<std::vector<char>> images;
+        for (const char *dir : {"run_a", "run_b"}) {
+            poisonHeap();
+            core::CheckpointOptions ck;
+            ck.dir = dir;
+            ck.basename = "same";
+            ck.interval = 200;
+            ASSERT_FALSE(runScenario(sc, g, id, ck, 1000).result.completed());
+            images.push_back(
+                fileBytes(sim::CheckpointStore(dir, "same").currentPath()));
+        }
+        ASSERT_FALSE(images[0].empty());
+        EXPECT_TRUE(images[0] == images[1])
+            << "two identical runs wrote different checkpoint bytes";
+    }
+}
+
 TEST_F(CheckpointTest, TornCurrentFallsBackToPreviousAndResumesExactly)
 {
     const graph::Csr g = testGraph();

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+
+#include "sim/checkpoint.hh"
 #include "sim/component.hh"
 #include "sim/queues.hh"
 #include "sim/simulator.hh"
@@ -396,6 +400,177 @@ TEST(DelayQueue, PreservesOrderWithMixedMaturity)
     q.tick();
     EXPECT_TRUE(q.ready());
     EXPECT_EQ(q.pop(), 2);
+}
+
+TEST(BoundedQueue, RingWrapsAroundManyTimes)
+{
+    // Capacity 3 is not a power of two: the wrap must not rely on masks.
+    BoundedQueue<int> q(3);
+    std::deque<int> model;
+    int next = 0;
+    for (int round = 0; round < 50; ++round) {
+        // Alternate fill-to-full and drain-to-empty with partial steps so
+        // head lands on every slot.
+        while (q.canPush() && static_cast<int>(model.size()) < 1 + round % 3) {
+            q.push(next);
+            model.push_back(next++);
+        }
+        ASSERT_EQ(q.size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i)
+            EXPECT_EQ(q[i], model[i]);
+        EXPECT_EQ(q.front(), model.front());
+        EXPECT_EQ(q.pop(), model.front());
+        model.pop_front();
+    }
+    while (!model.empty()) {
+        EXPECT_EQ(q.pop(), model.front());
+        model.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(q.canPush());
+}
+
+TEST(BoundedQueue, FullAndEmptyAcrossTheWrap)
+{
+    BoundedQueue<int> q(4);
+    for (int i = 0; i < 3; ++i)
+        q.push(i);
+    q.pop();
+    q.pop(); // head now at slot 2
+    for (int i = 3; i < 6; ++i)
+        q.push(i); // tail wraps to slots 0 and 1
+    EXPECT_FALSE(q.canPush());
+    EXPECT_EQ(q.size(), 4u);
+    for (int want = 2; want < 6; ++want)
+        EXPECT_EQ(q.pop(), want);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(BoundedQueue, RemoveAtKeepsFifoOrderAcrossTheWrap)
+{
+    BoundedQueue<int> q(4);
+    q.push(0);
+    q.push(1);
+    q.pop();
+    q.pop();
+    for (int i = 10; i < 14; ++i)
+        q.push(i); // occupies slots 2, 3, 0, 1
+    EXPECT_EQ(q.removeAt(2), 12);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q[0], 10);
+    EXPECT_EQ(q[1], 11);
+    EXPECT_EQ(q[2], 13);
+    EXPECT_EQ(q.removeAt(0), 10);
+    EXPECT_EQ(q.pop(), 11);
+    EXPECT_EQ(q.pop(), 13);
+}
+
+/** The byte image std::deque-backed queues used to write: the element
+ *  count, then each element's raw bytes oldest first. */
+template <typename T>
+std::vector<std::uint8_t>
+dequeEncoding(const std::deque<T> &elements)
+{
+    Serializer s;
+    s.writeU64(elements.size());
+    for (const T &e : elements)
+        s.writePod(e);
+    return s.bytes();
+}
+
+struct Flit
+{
+    std::uint32_t dst;
+    float value;
+};
+
+TEST(BoundedQueue, SaveStateMatchesTheDequeEncodingAfterWrapping)
+{
+    BoundedQueue<Flit> q(3);
+    std::deque<Flit> model;
+    for (std::uint32_t i = 0; i < 7; ++i) {
+        if (!q.canPush()) {
+            q.pop();
+            model.pop_front();
+        }
+        q.push(Flit{i, 0.5f * static_cast<float>(i)});
+        model.push_back(Flit{i, 0.5f * static_cast<float>(i)});
+    }
+    Serializer s;
+    q.saveState(s);
+    EXPECT_EQ(s.bytes(), dequeEncoding(model));
+
+    BoundedQueue<Flit> restored(3);
+    Deserializer d(s.bytes());
+    restored.restoreState(d);
+    d.expectEnd();
+    ASSERT_EQ(restored.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i)
+        EXPECT_EQ(restored[i].dst, model[i].dst);
+}
+
+TEST(BoundedQueue, RestoreRefusesMoreElementsThanCapacity)
+{
+    BoundedQueue<int> big(4);
+    for (int i = 0; i < 4; ++i)
+        big.push(i);
+    Serializer s;
+    big.saveState(s);
+    BoundedQueue<int> small(2);
+    Deserializer d(s.bytes());
+    EXPECT_THROW(small.restoreState(d), CheckpointError);
+}
+
+/** DelayQueue element with tail padding inside its entry (12 B value
+ *  after an 8 B stamp: 4 B of padding). */
+struct List
+{
+    std::uint32_t start;
+    std::uint16_t count;
+    std::uint16_t zero;
+    std::uint32_t group;
+};
+
+TEST(DelayQueue, SaveStateMatchesTheDequeEncodingWithZeroPadding)
+{
+    DelayQueue<List> q(2, 3);
+    q.push(List{1, 2, 0, 3});
+    q.tick();
+    q.push(List{4, 5, 0, 6});
+    for (int i = 0; i < 3; ++i)
+        q.tick();
+    EXPECT_EQ(q.pop().start, 1u); // head now at slot 1
+    q.push(List{7, 8, 0, 9});     // wraps to slot 0
+
+    struct Entry
+    {
+        Cycle readyAt;
+        List value;
+    };
+    static_assert(sizeof(Entry) == 24, "test assumes 4 B tail padding");
+    std::deque<Entry> model(2);
+    std::memset(static_cast<void *>(&model[0]), 0, sizeof(Entry));
+    std::memset(static_cast<void *>(&model[1]), 0, sizeof(Entry));
+    model[0].readyAt = 4;
+    model[0].value = List{4, 5, 0, 6};
+    model[1].readyAt = 7;
+    model[1].value = List{7, 8, 0, 9};
+    Serializer want;
+    want.writeU64(4); // local clock
+    for (const std::uint8_t b : dequeEncoding(model))
+        want.writeU8(b);
+
+    Serializer got;
+    q.saveState(got);
+    EXPECT_EQ(got.bytes(), want.bytes());
+
+    DelayQueue<List> restored(2, 3);
+    Deserializer d(got.bytes());
+    restored.restoreState(d);
+    d.expectEnd();
+    EXPECT_EQ(restored.cyclesUntilReady(), 0u);
+    EXPECT_EQ(restored.pop().group, 6u);
+    EXPECT_EQ(restored.cyclesUntilReady(), 3u);
 }
 
 TEST(DelayQueueDeath, PopBeforeMaturityPanics)
