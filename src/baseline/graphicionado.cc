@@ -307,7 +307,6 @@ GraphicionadoAccel::startScatter()
                                              cfg.vprefBatch);
     sc.batchReady.assign(sc.batchesTotal, 0);
     sc.fetch.assign(sc.recordsTotal, RecordFetch{});
-    sc.fetchedEdges.assign(sc.recordsTotal, {});
 
     for (Stream &stream : streams) {
         stream.records.clear();
@@ -374,17 +373,21 @@ GraphicionadoAccel::tickScatter()
             refreshStream(s);
             return true;
         }
-        const EdgeTask &task = sc.fetchedEdges[rec][stream.edgeCursor];
+        // The head's edge data is on chip (headAct); read the edge the
+        // fetch delivered straight from the slice CSR.
+        const EdgeId e = sg.offsetOf(r.vid) + stream.edgeCursor;
+        const VertexId dst = sg.edgeDest(e);
         // Atomic enforcement: stall while a conflicting update is inside
         // the reduce pipeline.
-        if (now - lastReduceAt[task.dst] < cfg.atomicPipelineDepth &&
-            lastReduceAt[task.dst] != 0) {
+        if (now - lastReduceAt[dst] < cfg.atomicPipelineDepth &&
+            lastReduceAt[dst] != 0) {
             ++statAtomicStalls;
             return true;
         }
-        const PropValue res = algo.processEdge(r.prop, task.weight);
-        tProp[task.dst] = algo.reduce(tProp[task.dst], res);
-        lastReduceAt[task.dst] = now;
+        const PropValue res = algo.processEdge(
+            r.prop, weighted ? sg.edgeWeight(e) : Weight{1});
+        tProp[dst] = algo.reduce(tProp[dst], res);
+        lastReduceAt[dst] = now;
         ++statReduceOps;
         ++statEdgesProcessed;
         statStreamEdges[s] += 1;
@@ -395,7 +398,6 @@ GraphicionadoAccel::tickScatter()
         if (++stream.edgeCursor == degree) {
             stream.records.pop();
             stream.edgeCursor = 0;
-            sc.fetchedEdges[rec] = {};
             ++sc.recordsDone;
             refreshStream(s);
         }
@@ -691,20 +693,8 @@ GraphicionadoAccel::tick()
         gds_assert(f.parts > 0, "stray edge response");
         --f.parts;
         if (f.allIssued && f.parts == 0 && !f.ready) {
-            const ActiveRecord &r = activeCur[curSlice][rec];
-            const graph::Csr &sg = sliceGraph(curSlice);
-            const EdgeId offset = sg.offsetOf(r.vid);
-            const std::uint64_t degree = sg.outDegree(r.vid);
-            auto &edges = sc.fetchedEdges[rec];
-            edges.reserve(degree);
-            for (std::uint64_t i = 0; i < degree; ++i) {
-                const EdgeId e = offset + i;
-                edges.push_back(EdgeTask{
-                    sg.edgeDest(e),
-                    weighted ? sg.edgeWeight(e) : Weight{1}});
-            }
             f.ready = true;
-            refreshStream(r.vid % cfg.numStreams);
+            refreshStream(activeCur[curSlice][rec].vid % cfg.numStreams);
         }
     }
     while (wport.hasResponse())
@@ -896,7 +886,6 @@ GraphicionadoAccel::saveState(sim::Serializer &s) const
     s.writeU64(sc.recordsDone);
     s.writeU64(sc.edgesReduced);
     s.writePodVec(sc.fetch);
-    saveNestedVec(s, sc.fetchedEdges);
 
     s.writeU32(ap.sweepBegin);
     s.writeU32(ap.sweepEnd);
@@ -964,7 +953,6 @@ GraphicionadoAccel::restoreState(sim::Deserializer &d)
     sc.recordsDone = d.readU64();
     sc.edgesReduced = d.readU64();
     d.readPodVec(sc.fetch);
-    restoreNestedVec(d, sc.fetchedEdges);
 
     ap.sweepBegin = d.readU32();
     ap.sweepEnd = d.readU32();

@@ -155,12 +155,6 @@ class GraphicionadoAccel : public sim::Component
         std::uint64_t bytesIssued = 0;
     };
 
-    struct EdgeTask
-    {
-        VertexId dst;
-        Weight weight;
-    };
-
     /** One processing stream (pipeline). */
     struct Stream
     {
@@ -168,54 +162,6 @@ class GraphicionadoAccel : public sim::Component
 
         sim::BoundedQueue<std::uint64_t> records; ///< assigned record ids
         std::uint32_t edgeCursor = 0;             ///< progress in head
-    };
-
-    /** A set of stream indices, walked in ascending order. */
-    class StreamSet
-    {
-      public:
-        void resize(unsigned n) { words.assign((n + 63) / 64, 0); }
-        void clear() { std::fill(words.begin(), words.end(), 0); }
-
-        void
-        set(unsigned s, bool member)
-        {
-            const std::uint64_t bit = std::uint64_t{1} << (s % 64);
-            words[s / 64] = member ? words[s / 64] | bit
-                                   : words[s / 64] & ~bit;
-        }
-
-        bool
-        any() const
-        {
-            for (const std::uint64_t w : words)
-                if (w != 0)
-                    return true;
-            return false;
-        }
-
-        /**
-         * Call @p f(s) for each member in ascending order until it
-         * returns false. Each 64-stream word is read once up front, so
-         * @p f may update the membership of the stream it was given.
-         */
-        template <typename F>
-        void
-        forEach(F &&f) const
-        {
-            for (std::size_t w = 0; w < words.size(); ++w) {
-                for (std::uint64_t bits = words[w]; bits != 0;
-                     bits &= bits - 1) {
-                    const auto s = static_cast<unsigned>(
-                        w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-                    if (!f(s))
-                        return;
-                }
-            }
-        }
-
-      private:
-        std::vector<std::uint64_t> words;
     };
 
     enum class Phase
@@ -302,8 +248,9 @@ class GraphicionadoAccel : public sim::Component
         std::uint64_t commitCursor = 0;
         std::uint64_t recordsDone = 0;
         std::uint64_t edgesReduced = 0;
+        /** Fetch state per record; a ready record's edges are read
+         *  straight from the slice CSR, which the fetch only times. */
         std::vector<RecordFetch> fetch;
-        std::vector<std::vector<EdgeTask>> fetchedEdges;
     };
 
     // Apply state.
@@ -331,12 +278,12 @@ class GraphicionadoAccel : public sim::Component
      */
     // gds-ckpt: skip(headAct) derived from the stream queues and fetch
     // states; rebuilt by restoreState()
-    StreamSet headAct;
+    sim::IndexSet headAct;
     /** Streams with a record in their lookahead window whose edge fetch
      *  is neither ready nor fully issued. */
     // gds-ckpt: skip(issueWindow) derived from the stream queues and fetch
     // states; rebuilt by restoreState()
-    StreamSet issueWindow;
+    sim::IndexSet issueWindow;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;

@@ -111,6 +111,7 @@ GdsAccel::GdsAccel(const GdsConfig &config, const graph::Csr &g,
                          cfg.vbLatency);
     for (unsigned i = 0; i < cfg.numUes; ++i)
         ues.emplace_back(cfg.ueQueueDepth);
+    ueReady.resize(cfg.numUes);
 }
 
 GdsAccel::~GdsAccel() = default;
@@ -231,7 +232,7 @@ GdsAccel::run(const RunOptions &options)
             [this](obs::Sampler &sampler) { registerProbes(sampler); },
         // Fast-forward is cycle-exact but incompatible with the per-cycle
         // heartbeat (its modulo would miss skipped boundaries) and
-        // pointless under perfect memory (dispatch materializes records on
+        // pointless under perfect memory (dispatch makes records ready on
         // demand, so waits never become provable).
         .allowFastForward = !progress && !perfectMem,
     };
@@ -434,6 +435,7 @@ GdsAccel::debugState() const
            << sc.recordsTotal << " reduced=" << sc.edgesReduced << "/"
            << sc.expectedEdges << " commit=" << sc.commitCursor
            << " eprefPending=" << sc.eprefPending.size()
+           << " edgeBatches=" << sc.batchBegin.size()
            << " bufferedEdges=" << sc.bufferedEdges << "]";
     } else if (phase == Phase::ApplyPhase) {
         os << " apply[groups=" << ap.groupsCompleted << "/"
@@ -487,14 +489,19 @@ GdsAccel::tick()
             gds_assert(f.parts > 0, "stray edge response");
             --f.parts;
             if (f.allIssued && f.parts == 0)
-                materializeRecord(payload);
+                f.ready = true;
             break;
           }
-          case Tag::EdgeBatch:
+          case Tag::EdgeBatch: {
             // One coalesced request served several whole records.
-            for (const std::uint64_t rec : sc.fetchBatches[payload])
-                materializeRecord(rec);
+            gds_assert(payload < sc.batchBegin.size(), "stray edge batch");
+            const std::uint64_t end = payload + 1 < sc.batchBegin.size()
+                                          ? sc.batchBegin[payload + 1]
+                                          : sc.batchMembers.size();
+            for (std::uint64_t m = sc.batchBegin[payload]; m < end; ++m)
+                sc.fetch[sc.batchMembers[m]].ready = true;
             break;
+          }
           default:
             panic("unexpected tag on the Epref port");
         }
@@ -642,8 +649,8 @@ GdsAccel::saveState(sim::Serializer &s) const
     s.writeU64(sc.fillBytesLeft);
     s.writePodDeque(sc.eprefPending);
     s.writePodVec(sc.fetch);
-    saveNestedVec(s, sc.fetchedEdges);
-    saveNestedVec(s, sc.fetchBatches);
+    s.writePodVec(sc.batchMembers);
+    s.writePodVec(sc.batchBegin);
     s.writeU64(sc.bufferedEdges);
 
     // Apply-phase bookkeeping.
@@ -708,10 +715,12 @@ GdsAccel::restoreState(sim::Deserializer &d)
         pe.applyQueue.restoreState(d);
         pe.vbStage.restoreState(d);
     }
-    for (Ue &ue : ues) {
+    for (unsigned u = 0; u < ues.size(); ++u) {
+        Ue &ue = ues[u];
         ue.inbox.restoreState(d);
         ue.pipeAddr = d.readPod<std::array<VertexId, 2>>();
         ue.pipeCycle = d.readPod<std::array<Cycle, 2>>();
+        ueReady.set(u, !ue.inbox.empty());
     }
     scEdgesQueued = d.readU64();
     scFlitsBuffered = d.readU64();
@@ -730,8 +739,20 @@ GdsAccel::restoreState(sim::Deserializer &d)
     sc.fillBytesLeft = d.readU64();
     d.readPodDeque(sc.eprefPending);
     d.readPodVec(sc.fetch);
-    restoreNestedVec(d, sc.fetchedEdges);
-    restoreNestedVec(d, sc.fetchBatches);
+    d.readPodVec(sc.batchMembers);
+    d.readPodVec(sc.batchBegin);
+    // An EdgeBatch response indexes these; refuse a corrupt layout here.
+    for (std::size_t b = 0; b < sc.batchBegin.size(); ++b) {
+        gds_require(sc.batchBegin[b] <= sc.batchMembers.size() &&
+                        (b == 0 || sc.batchBegin[b - 1] <= sc.batchBegin[b]),
+                    CheckpointError, "checkpoint edge batch %zu out of "
+                    "range", b);
+    }
+    for (const std::uint64_t rec : sc.batchMembers) {
+        gds_require(rec < sc.fetch.size(), CheckpointError,
+                    "checkpoint edge batch member %llu out of range",
+                    static_cast<unsigned long long>(rec));
+    }
     sc.bufferedEdges = d.readU64();
 
     d.readPodVec(ap.groups);

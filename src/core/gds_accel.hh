@@ -345,9 +345,17 @@ class GdsAccel : public sim::Component
         Addr fillCursor = 0;
         std::uint64_t fillBytesLeft = 0;
         std::deque<std::uint64_t> eprefPending; ///< records awaiting fetch
+        /** Fetch state per record; a ready record's edges are read
+         *  straight from the slice CSR, which the fetch only times. */
         std::vector<RecordFetch> fetch;
-        std::vector<std::vector<EdgeTask>> fetchedEdges;
-        std::vector<std::vector<std::uint64_t>> fetchBatches;
+        /**
+         * Coalesced edge fetches (Tag::EdgeBatch): batch b holds the
+         * records batchMembers[batchBegin[b] .. batchBegin[b + 1]), the
+         * last one up to the end. Both arrays keep their capacity from
+         * one scatter phase to the next.
+         */
+        std::vector<std::uint64_t> batchMembers;
+        std::vector<std::uint64_t> batchBegin;
         std::uint64_t bufferedEdges = 0;
     };
 
@@ -381,12 +389,10 @@ class GdsAccel : public sim::Component
     bool scatterDone() const;
     void tickVpref();
     void tickEpref();
-    void materializeRecord(std::uint64_t rec_index);
     void tickDispatchers();
     void dispatchChunk(De &de, unsigned de_index);
     void tickPesScatter();
     void tickUes();
-    void reduceFlit(const ResultFlit &flit);
 
     // Fast-forward quiescence predicates (one per phase; each mirrors its
     // phase's tick path and returns true only when that path is provably a
@@ -478,6 +484,10 @@ class GdsAccel : public sim::Component
     std::uint64_t scEdgesQueued = 0;   ///< sum of PE edgeQueue sizes
     std::uint64_t scFlitsBuffered = 0; ///< sum of PE pendingFlits sizes
     std::uint64_t ueFlitsQueued = 0;   ///< sum of UE inbox sizes
+    /** UEs with a non-empty inbox; tickUes() visits only these. */
+    // gds-ckpt: skip(ueReady) derived from the UE inboxes; rebuilt by
+    // restoreState()
+    sim::IndexSet ueReady;
     ScatterState sc;
     ApplyState ap;
     Phase phase = Phase::Finished;
@@ -490,7 +500,7 @@ class GdsAccel : public sim::Component
     Cycle runStart = 0;
     /**
      * GDS_PERFECT_MEM, resolved exactly once at run() entry and used by
-     * every consumer (dispatch materialization, the scatter quiescence
+     * every consumer (dispatch readiness, the scatter quiescence
      * predicate, fast-forward gating). Run-scoped on purpose: a test or
      * a daemon job that flips the environment variable between runs gets
      * consistent behaviour within each run, and nothing latched in a

@@ -31,7 +31,15 @@ GdsAccel::startScatter()
     phase = Phase::ScatterPhase;
     const auto &records = activeCur[curSlice];
 
+    // Reset the phase state but keep the batch arrays' storage, so a warm
+    // scatter path allocates nothing per coalesced fetch.
+    std::vector<std::uint64_t> batch_members = std::move(sc.batchMembers);
+    std::vector<std::uint64_t> batch_begin = std::move(sc.batchBegin);
+    batch_members.clear();
+    batch_begin.clear();
     sc = ScatterState{};
+    sc.batchMembers = std::move(batch_members);
+    sc.batchBegin = std::move(batch_begin);
     sc.recordsTotal = records.size();
     for (const ActiveRecord &r : records)
         sc.expectedEdges += r.edgeCnt;
@@ -39,7 +47,6 @@ GdsAccel::startScatter()
                                              cfg.vprefBatch);
     sc.batchReady.assign(sc.batchesTotal, 0);
     sc.fetch.assign(sc.recordsTotal, RecordFetch{});
-    sc.fetchedEdges.assign(sc.recordsTotal, {});
 
     // Sliced, non-resetting algorithms restore this slice's temporary
     // properties into the Vertex Buffer from the property array (see
@@ -104,7 +111,7 @@ GdsAccel::scatterQuiescent() const
         if (de.vpb.empty())
             continue;
         if (perfectMem)
-            return false; // dispatch would materialize the record
+            return false; // dispatch would make the record ready
         const std::uint64_t rec = de.vpb.front();
         if (activeCur[curSlice][rec].edgeCnt == 0 || sc.fetch[rec].ready)
             return false;
@@ -221,22 +228,6 @@ GdsAccel::tickVpref()
 // ---------------------------------------------------------------------
 
 void
-GdsAccel::materializeRecord(std::uint64_t rec_index)
-{
-    const ActiveRecord &r = activeCur[curSlice][rec_index];
-    const graph::Csr &sg = sliceGraph(curSlice);
-    auto &edges = sc.fetchedEdges[rec_index];
-    edges.reserve(r.edgeCnt);
-    for (std::uint32_t i = 0; i < r.edgeCnt; ++i) {
-        const EdgeId e = r.offset + i;
-        edges.push_back(EdgeTask{sg.edgeDest(e),
-                                 weighted ? sg.edgeWeight(e) : Weight{1},
-                                 r.prop});
-    }
-    sc.fetch[rec_index].ready = true;
-}
-
-void
 GdsAccel::tickEpref()
 {
     // Scan a small window of pending records each cycle. Offset lookups
@@ -306,23 +297,21 @@ GdsAccel::tickEpref()
                 batch_edges += nr.edgeCnt;
                 ++members;
             }
-            const std::uint64_t batch_id = sc.fetchBatches.size();
+            const std::uint64_t batch_id = sc.batchBegin.size();
             if (!hbm->access(begin,
                              static_cast<unsigned>(batch_bytes), false,
                              makeTag(Tag::EdgeBatch, batch_id),
                              &eportRead))
                 break; // memory backpressure
-            std::vector<std::uint64_t> group;
-            group.reserve(members);
+            sc.batchBegin.push_back(sc.batchMembers.size());
             for (std::size_t m = 0; m < members; ++m) {
                 const std::uint64_t mrec = sc.eprefPending[w + m];
                 RecordFetch &mf = sc.fetch[mrec];
                 mf.reserved = true;
                 mf.allIssued = true;
-                group.push_back(mrec);
+                sc.batchMembers.push_back(mrec);
             }
             sc.bufferedEdges += batch_edges;
-            sc.fetchBatches.push_back(std::move(group));
             sc.eprefPending.erase(
                 sc.eprefPending.begin() + static_cast<std::ptrdiff_t>(w),
                 sc.eprefPending.begin() +
@@ -382,14 +371,21 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
         return;
     }
 
-    if (!f.ready && perfectMem)
-        materializeRecord(rec);
+    if (perfectMem)
+        f.ready = true; // edge data appears the moment it is needed
     if (!f.ready) {
         ++statDeWaitReady;
         return;
     }
 
-    auto &edges = sc.fetchedEdges[rec];
+    // The fetch only times the edge data; the edges themselves are read
+    // straight from the slice CSR.
+    const graph::Csr &sg = sliceGraph(curSlice);
+    const auto task_at = [&](std::uint32_t i) {
+        const EdgeId e = r.offset + i;
+        return EdgeTask{sg.edgeDest(e),
+                        weighted ? sg.edgeWeight(e) : Weight{1}, r.prop};
+    };
 
     if (!cfg.workloadBalance) {
         // Ablation: Graphicionado-style hash placement -- the whole edge
@@ -399,7 +395,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
         unsigned moved = 0;
         while (cursor < r.edgeCnt && moved < cfg.nSimt &&
                pe.edgeQueue.canPush()) {
-            pe.edgeQueue.push(edges[cursor]);
+            pe.edgeQueue.push(task_at(cursor));
             ++scEdgesQueued;
             ++cursor;
             ++moved;
@@ -413,7 +409,6 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
                 sc.bufferedEdges -= r.edgeCnt;
                 f.reserved = false;
             }
-            edges = {};
         }
         return;
     }
@@ -438,7 +433,7 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
     }
 
     for (std::uint32_t i = 0; i < len; ++i)
-        pe.edgeQueue.push(edges[begin + i]);
+        pe.edgeQueue.push(task_at(begin + i));
     scEdgesQueued += len;
     ++statSchedulingOps;
     ++de.chunkCursor;
@@ -453,7 +448,6 @@ GdsAccel::dispatchChunk(De &de, unsigned de_index)
             sc.bufferedEdges -= r.edgeCnt;
             f.reserved = false;
         }
-        edges = {};
     }
 }
 
@@ -505,6 +499,7 @@ GdsAccel::tickPesScatter()
                 const unsigned ue = flit.dst & ue_mask;
                 if (ues[ue].inbox.canPush() && xbar->tryRoute(ue)) {
                     ues[ue].inbox.push(flit);
+                    ueReady.insert(ue);
                     ++ueFlitsQueued;
                     --scFlitsBuffered;
                     ++routed;
@@ -544,31 +539,20 @@ GdsAccel::tickPesScatter()
 // ---------------------------------------------------------------------
 
 void
-GdsAccel::reduceFlit(const ResultFlit &flit)
-{
-    const PropValue old_value = tProp[flit.dst];
-    const PropValue new_value = algo.reduce(old_value, flit.value);
-    if (new_value != old_value) {
-        tProp[flit.dst] = new_value;
-        ++statTPropMods;
-        if (cfg.updateScheduling)
-            readyGroup[groupIndexOf(flit.dst)] = 1;
-    }
-    ++statReduceOps;
-    statVbAccesses += 2; // read + write
-    ++sc.edgesReduced;
-    progressed(now);
-}
-
-void
 GdsAccel::tickUes()
 {
     if (ueFlitsQueued == 0)
         return;
-    for (Ue &ue : ues) {
-        if (ue.inbox.empty())
-            continue;
-        const ResultFlit &flit = ue.inbox.front();
+    // Only UEs with a queued update are visited, in ascending order (the
+    // order of the full walk). The integer-valued stats are summed here
+    // and added once per tick: the sums are exact in a double, so every
+    // stat reads as it would after one addition per update.
+    std::uint64_t reduced = 0;
+    std::uint64_t modified = 0;
+    std::uint64_t stalled = 0;
+    ueReady.forEach([&](unsigned u) {
+        Ue &ue = ues[u];
+        const ResultFlit flit = ue.inbox.front();
 
         if (!cfg.zeroStallAtomics) {
             // Graphicionado-style: stall while a conflicting update is
@@ -580,8 +564,8 @@ GdsAccel::tickUes()
                     conflict = true;
             }
             if (conflict) {
-                ++statAtomicStalls;
-                continue;
+                ++stalled;
+                return true;
             }
             ue.pipeAddr[1] = ue.pipeAddr[0];
             ue.pipeCycle[1] = ue.pipeCycle[0];
@@ -589,10 +573,31 @@ GdsAccel::tickUes()
             ue.pipeCycle[0] = now;
         }
 
-        reduceFlit(flit);
+        // Store-reduce into the Vertex Buffer (read + write).
+        const PropValue old_value = tProp[flit.dst];
+        const PropValue new_value = algo.reduce(old_value, flit.value);
+        if (new_value != old_value) {
+            tProp[flit.dst] = new_value;
+            ++modified;
+            if (cfg.updateScheduling)
+                readyGroup[groupIndexOf(flit.dst)] = 1;
+        }
         ue.inbox.pop();
-        --ueFlitsQueued;
-    }
+        if (ue.inbox.empty())
+            ueReady.erase(u);
+        ++reduced;
+        return true;
+    });
+
+    statAtomicStalls += static_cast<double>(stalled);
+    if (reduced == 0)
+        return;
+    ueFlitsQueued -= reduced;
+    sc.edgesReduced += reduced;
+    statReduceOps += static_cast<double>(reduced);
+    statVbAccesses += static_cast<double>(2 * reduced);
+    statTPropMods += static_cast<double>(modified);
+    progressed(now, reduced);
 }
 
 } // namespace gds::core

@@ -24,9 +24,12 @@ namespace
 /**
  * Layout version of the checkpoint payload written below. v2: the HBM
  * saves per-channel burst-completion FIFOs instead of a global completion
- * heap, and its request slab drops the per-request pending count.
+ * heap, and its request slab drops the per-request pending count. v3: the
+ * accelerators read fetched edges from the CSR, so neither saves per-record
+ * edge copies, and GraphDynS saves its coalesced edge fetches as one flat
+ * member array plus per-batch begin offsets.
  */
-constexpr std::uint32_t kStateVersion = 2;
+constexpr std::uint32_t kStateVersion = 3;
 
 /** Detaches the fault injector from the target on every exit path, so
  *  no component keeps a pointer to the destroyed injector. */

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <thread>
 
+#include "gds_git_sha.hh" // generated at build time (git_sha.cmake)
+
 #include "common/bitutil.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
@@ -154,11 +156,7 @@ configHash(const baseline::GunrockConfig &cfg)
 const char *
 buildGitSha()
 {
-#ifdef GDS_GIT_SHA
     return GDS_GIT_SHA;
-#else
-    return "unknown";
-#endif
 }
 
 void

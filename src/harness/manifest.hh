@@ -40,7 +40,8 @@ std::string configHash(const baseline::GraphicionadoConfig &cfg);
 /** Fingerprint over every GunrockConfig field. */
 std::string configHash(const baseline::GunrockConfig &cfg);
 
-/** The git SHA this binary was built from ("unknown" outside a repo). */
+/** The git SHA this binary was built from, "-dirty" when the work tree
+ *  differed from it at build time ("unknown" outside a repo). */
 const char *buildGitSha();
 
 /**

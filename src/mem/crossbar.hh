@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/debug.hh"
-#include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 #include "sim/component.hh"
 #include "sim/fault.hh"
@@ -56,7 +55,9 @@ class Crossbar : public sim::Component
     }
 
     /**
-     * Try to route one flit to @p output this cycle.
+     * Try to route one flit to @p output this cycle: a word/bit test of
+     * the grant mask, inlined into the routing loop. An attached fault
+     * injector is consulted (out of line) only for a free port.
      * @return true if the output port was free (the flit is granted).
      */
     bool
@@ -69,14 +70,8 @@ class Crossbar : public sim::Component
             ++statConflicts;
             return false;
         }
-        if (fault && fault->stallOutput()) {
-            ++statFaultStalls;
-            if (obs::Tracer *t = obs::activeTracer()) {
-                t->instant(t->track(tracePath()), "fault:stall",
-                           debug::traceCycle());
-            }
+        if (fault && faultRefusesGrant())
             return false;
-        }
         word |= bit;
         ++statFlits;
         return true;
@@ -148,6 +143,10 @@ class Crossbar : public sim::Component
     }
 
   private:
+    /** Ask the fault injector whether to refuse a grant; counts and
+     *  traces a refusal. Cold: only fault campaigns attach an injector. */
+    [[gnu::cold]] bool faultRefusesGrant();
+
     unsigned ports; ///< radix; restore checks the checkpoint's count
     /** Per-cycle grant mask, one bit per output port. */
     std::vector<std::uint64_t> granted;

@@ -127,14 +127,14 @@ class Component
     const std::vector<Component *> &children() const { return _children; }
 
     /**
-     * Record observable forward progress. @p at is the component's local
-     * cycle when known (0 when the caller has no clock); only its maximum
-     * is retained, for diagnostics.
+     * Record @p events units of observable forward progress. @p at is the
+     * component's local cycle when known (0 when the caller has no clock);
+     * only its maximum is retained, for diagnostics.
      */
     void
-    progressed(Cycle at = 0)
+    progressed(Cycle at = 0, std::uint64_t events = 1)
     {
-        ++_progressCount;
+        _progressCount += events;
         if (at > _lastProgressAt)
             _lastProgressAt = at;
     }

@@ -11,10 +11,15 @@
  * per-cycle push/pop path never allocates. Checkpoints carry the size and
  * then the elements oldest first; where a slot sits in the ring is not
  * state and is not serialized.
+ *
+ * IndexSet is the ready set beside such queues: one bit per queue owner
+ * (stream, UE), walked in ascending order, so a stage visits only the
+ * owners that have work. It is derived state, rebuilt on restore.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -274,6 +279,64 @@ class DelayQueue
     BoundedQueue<Entry> entries;
     Cycle delay;
     Cycle now = 0;
+};
+
+/** A set of indices below a fixed bound, walked in ascending order. */
+class IndexSet
+{
+  public:
+    void resize(unsigned n) { words.assign((n + 63) / 64, 0); }
+    void clear() { std::fill(words.begin(), words.end(), 0); }
+
+    void insert(unsigned i) { words[i / 64] |= bit(i); }
+    void erase(unsigned i) { words[i / 64] &= ~bit(i); }
+
+    void
+    set(unsigned i, bool member)
+    {
+        if (member)
+            insert(i);
+        else
+            erase(i);
+    }
+
+    bool
+    any() const
+    {
+        for (const std::uint64_t w : words)
+            if (w != 0)
+                return true;
+        return false;
+    }
+
+    /**
+     * Call @p f(i) for each member in ascending order until it returns
+     * false. Each 64-index word is read once up front, so @p f may update
+     * the membership of the index it was given.
+     */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t bits = words[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto i = static_cast<unsigned>(
+                    w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+                if (!f(i))
+                    return;
+            }
+        }
+    }
+
+  private:
+    static std::uint64_t
+    bit(unsigned i)
+    {
+        return std::uint64_t{1} << (i % 64);
+    }
+
+    std::vector<std::uint64_t> words;
 };
 
 } // namespace gds::sim

@@ -44,6 +44,8 @@ struct Scenario
     bool telemetry = false;
     bool faults = false;
     bool fastForward = true;
+    /** GraphDynS only: off selects the stalling reduce pipeline. */
+    bool zeroStallAtomics = true;
 
     std::string
     tag() const
@@ -52,6 +54,8 @@ struct Scenario
         t += telemetry ? "_tel" : "_notel";
         t += faults ? "_flt" : "_noflt";
         t += fastForward ? "_ff" : "_noff";
+        if (!zeroStallAtomics)
+            t += "_stall";
         return t;
     }
 };
@@ -113,6 +117,7 @@ runScenario(const Scenario &sc, const graph::Csr &g, algo::AlgorithmId id,
         accel.statsGroup().dump(stats);
     } else {
         core::GdsConfig cfg;
+        cfg.zeroStallAtomics = sc.zeroStallAtomics;
         core::GdsAccel accel(cfg, g, *a);
         art.result = accel.run(o);
         accel.statsGroup().dump(stats);
@@ -224,6 +229,69 @@ TEST_F(CheckpointTest, ResumeIsBitExactAcrossTheMatrix)
                 }
             }
         }
+    }
+}
+
+/** The number after @p key in @p text (e.g. "ue=" in a debugState()). */
+std::uint64_t
+numberAfter(const std::string &text, const std::string &key)
+{
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << text;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(text.substr(at + key.size()));
+}
+
+TEST_F(CheckpointTest, MidScatterResumeIsBitExact)
+{
+    // A GraphDynS checkpoint taken inside a scatter phase, with updates
+    // queued at the UEs and coalesced edge fetches in flight: the resume
+    // rebuilds the UE ready set from the restored inboxes and answers the
+    // in-flight batches from the restored batch arrays. The stalling
+    // reduce pipeline also restores its RAW-hazard registers.
+    const graph::Csr g = testGraph();
+    const algo::AlgorithmId id = algo::AlgorithmId::Pr;
+    for (const bool zero_stall : {true, false}) {
+        Scenario sc;
+        sc.zeroStallAtomics = zero_stall;
+        SCOPED_TRACE(sc.tag());
+        const RunArtifacts ref = runScenario(sc, g, id, {});
+        ASSERT_TRUE(ref.result.completed());
+
+        // Scan for a checkpoint cycle that lands mid-scatter. The
+        // checkpoint is restored into a fresh accelerator to read the
+        // state it holds.
+        core::CheckpointOptions ck;
+        ck.dir = "ckpt";
+        ck.basename = sc.tag();
+        bool mid_scatter = false;
+        for (Cycle at = 64; at < ref.result.cycles && !mid_scatter;
+             at += 61) {
+            ck.interval = at;
+            ASSERT_FALSE(
+                runScenario(sc, g, id, ck, at + 1).result.completed());
+            const sim::CheckpointStore store("ckpt", sc.tag());
+            const sim::CheckpointStore::Loaded image =
+                sim::CheckpointStore::readFile(store.currentPath());
+            ASSERT_EQ(image.meta.cycle, at);
+            auto a = algo::makeAlgorithm(id);
+            core::GdsConfig cfg;
+            cfg.zeroStallAtomics = zero_stall;
+            core::GdsAccel probe(cfg, g, *a);
+            sim::Deserializer d(image.payload);
+            probe.restoreState(d);
+            const std::string state = probe.debugState();
+            mid_scatter = state.find("phase=scatter") != std::string::npos &&
+                          numberAfter(state, " ue=") > 0 &&
+                          numberAfter(state, " e=") > 0 &&
+                          numberAfter(state, "edgeBatches=") > 0;
+        }
+        ASSERT_TRUE(mid_scatter) << "no checkpoint landed mid-scatter";
+
+        ck.resume = true;
+        ck.interval = 0;
+        expectExactMatch(runScenario(sc, g, id, ck), ref);
     }
 }
 

@@ -1,11 +1,17 @@
 /**
  * @file
  * Golden-cycle gate: both accelerator models x the five algorithms x two
- * small graphs (RMAT-10 and a 32x32 grid), each checked field by field
- * against tests/golden_cycles.json. The fast-forward equivalence suite
- * proves ff == naive within one build; this file pins the absolute
- * numbers across builds, so a speed-up or refactor that drifts a single
- * simulated cycle, HBM row hit or crossbar conflict fails here.
+ * small graphs (RMAT-10 and a 32x32 grid), plus the GraphDynS ablation
+ * configurations WB, WE, WEA and noWB (Fig. 14) on the same cells, each
+ * checked field by field against tests/golden_cycles.json. The ablations
+ * cover the datapath paths the full design never takes: non-exact
+ * (per-record, cacheline-granular) edge prefetch, the UE stall path with
+ * zeroStallAtomics off and dispatch with workloadBalance off. The
+ * fast-forward equivalence suite proves ff == naive within one build;
+ * this file pins the absolute numbers across builds, so a speed-up or
+ * refactor that drifts a single simulated cycle, HBM row hit or crossbar
+ * conflict fails here. GoldenCyclesGate proves the gate itself bites: an
+ * HBM CAS latency one cycle longer must mismatch for both accelerators.
  *
  * Changing the golden file on purpose is a model change and needs a
  * CHANGES.md entry explaining it. To re-record (from the build dir):
@@ -29,6 +35,7 @@
 #include "common/jsonio.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
+#include "harness/experiment.hh"
 
 namespace gds
 {
@@ -36,6 +43,7 @@ namespace
 {
 
 using algo::AlgorithmId;
+using harness::GdsVariant;
 
 /** PR never converges exactly; a fixed cap keeps the cells small. */
 constexpr unsigned kPrIterations = 5;
@@ -45,11 +53,18 @@ struct GoldenCell
     std::string system; ///< "gds" or "graphicionado"
     AlgorithmId algorithm;
     std::string graphName; ///< "rmat10" or "grid32"
+    /** GraphDynS ablation configuration; Full for Graphicionado. */
+    GdsVariant variant = GdsVariant::Full;
 
+    /** "gds/BFS/rmat10", or "gds-WB/BFS/rmat10" for an ablation. */
     std::string
     name() const
     {
-        return system + "/" + algo::algorithmName(algorithm) + "/" +
+        const std::string sys =
+            variant == GdsVariant::Full
+                ? system
+                : system + "-" + harness::variantName(variant);
+        return sys + "/" + algo::algorithmName(algorithm) + "/" +
                graphName;
     }
 };
@@ -100,13 +115,18 @@ counter(const stats::Group &group, const std::string &path)
     return static_cast<std::uint64_t>(group.scalar(path).value());
 }
 
+/**
+ * Run one cell. @p extra_cas lengthens the HBM CAS latency (tCl) by that
+ * many cycles: the planted timing mutation of GoldenCyclesGate.
+ */
 template <typename Accel, typename Config>
 GoldenValues
-runCell(const GoldenCell &cell, bool has_crossbar)
+runCell(const GoldenCell &cell, Config cfg, bool has_crossbar,
+        Cycle extra_cas)
 {
     auto algorithm = algo::makeAlgorithm(cell.algorithm);
     const graph::Csr g = makeGraph(cell.graphName, algorithm->usesWeights());
-    Config cfg;
+    cfg.hbm.tCl += extra_cas;
     if (cell.algorithm == AlgorithmId::Pr)
         cfg.maxIterations = kPrIterations;
     Accel accel(cfg, g, *algorithm);
@@ -130,12 +150,15 @@ runCell(const GoldenCell &cell, bool has_crossbar)
 }
 
 GoldenValues
-measure(const GoldenCell &cell)
+measure(const GoldenCell &cell, Cycle extra_cas = 0)
 {
-    if (cell.system == "gds")
-        return runCell<core::GdsAccel, core::GdsConfig>(cell, true);
-    return runCell<baseline::GraphicionadoAccel,
-                   baseline::GraphicionadoConfig>(cell, false);
+    if (cell.system == "gds") {
+        return runCell<core::GdsAccel>(
+            cell, harness::applyVariant(core::GdsConfig{}, cell.variant),
+            true, extra_cas);
+    }
+    return runCell<baseline::GraphicionadoAccel>(
+        cell, baseline::GraphicionadoConfig{}, false, extra_cas);
 }
 
 std::vector<GoldenCell>
@@ -146,6 +169,11 @@ allCells()
         for (const AlgorithmId a : algo::allAlgorithms)
             for (const char *graph_name : {"rmat10", "grid32"})
                 cells.push_back(GoldenCell{system, a, graph_name});
+    for (const GdsVariant v : {GdsVariant::Wb, GdsVariant::We,
+                               GdsVariant::Wea, GdsVariant::NoWb})
+        for (const AlgorithmId a : algo::allAlgorithms)
+            for (const char *graph_name : {"rmat10", "grid32"})
+                cells.push_back(GoldenCell{"gds", a, graph_name, v});
     return cells;
 }
 
@@ -167,43 +195,75 @@ goldenFile()
     return doc;
 }
 
+/**
+ * The recorded values of @p cell, in kFields order; shorter than kFields
+ * when tests/golden_cycles.json lacks the cell or one of its fields.
+ */
+std::vector<std::uint64_t>
+recorded(const GoldenCell &cell)
+{
+    const common::JsonValue &doc = goldenFile();
+    const common::JsonValue *cells =
+        doc.isObject() ? doc.find("cells") : nullptr;
+    const common::JsonValue *want =
+        cells != nullptr && cells->isObject() ? cells->find(cell.name())
+                                              : nullptr;
+    std::vector<std::uint64_t> values;
+    for (const char *name : kFields) {
+        const common::JsonValue *field =
+            want != nullptr ? want->find(name) : nullptr;
+        // Integers travel as decimal strings: the checksum and large
+        // counters do not round-trip through a double.
+        if (field == nullptr || !field->isString())
+            break;
+        values.push_back(std::stoull(field->asString()));
+    }
+    return values;
+}
+
 class GoldenCycles : public ::testing::TestWithParam<GoldenCell>
 {};
 
 TEST_P(GoldenCycles, MatchesRecordedValues)
 {
     const GoldenCell &cell = GetParam();
-    const common::JsonValue &doc = goldenFile();
-    ASSERT_TRUE(doc.isObject()) << "tests/golden_cycles.json is missing "
-                                   "or not a JSON object";
-    const common::JsonValue *cells = doc.find("cells");
-    ASSERT_TRUE(cells != nullptr && cells->isObject());
-    const common::JsonValue *want = cells->find(cell.name());
-    ASSERT_NE(want, nullptr) << "no golden entry for " << cell.name();
+    const std::vector<std::uint64_t> want = recorded(cell);
+    ASSERT_EQ(want.size(), std::size(kFields))
+        << "tests/golden_cycles.json has no complete entry for "
+        << cell.name();
 
     const std::vector<std::uint64_t> got = asList(measure(cell));
-    for (std::size_t i = 0; i < std::size(kFields); ++i) {
-        const common::JsonValue *field = want->find(kFields[i]);
-        ASSERT_NE(field, nullptr) << cell.name() << " lacks " << kFields[i];
-        // Integers travel as decimal strings: the checksum and large
-        // counters do not round-trip through a double.
-        ASSERT_TRUE(field->isString()) << kFields[i];
-        EXPECT_EQ(std::stoull(field->asString()), got[i])
-            << cell.name() << " " << kFields[i];
-    }
+    for (std::size_t i = 0; i < std::size(kFields); ++i)
+        EXPECT_EQ(want[i], got[i]) << cell.name() << " " << kFields[i];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BothAccelerators, GoldenCycles, ::testing::ValuesIn(allCells()),
     [](const ::testing::TestParamInfo<GoldenCell> &cell_info) {
-        std::string n = cell_info.param.system + "_" +
-                        algo::algorithmName(cell_info.param.algorithm) + "_" +
-                        cell_info.param.graphName;
+        std::string n = cell_info.param.name();
         for (char &c : n)
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
         return n;
     });
+
+/**
+ * Planted mutation: with tCl one cycle longer, the comparison above must
+ * report a mismatch for both accelerators. A gate that stays green under
+ * a perturbed memory timing would prove nothing.
+ */
+TEST(GoldenCyclesGate, PerturbedCasLatencyIsReportedAsMismatch)
+{
+    for (const char *system : {"gds", "graphicionado"}) {
+        const GoldenCell cell{system, AlgorithmId::Bfs, "rmat10"};
+        const std::vector<std::uint64_t> want = recorded(cell);
+        ASSERT_EQ(want.size(), std::size(kFields)) << cell.name();
+        ASSERT_EQ(asList(measure(cell)), want)
+            << cell.name() << " must match before the mutation";
+        EXPECT_NE(asList(measure(cell, 1)), want)
+            << cell.name() << ": tCl + 1 went unnoticed by the gate";
+    }
+}
 
 /** Writes golden_cycles.json into the working directory (see @file). */
 TEST(GoldenCyclesFile, DISABLED_Record)

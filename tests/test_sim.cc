@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <deque>
+#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/component.hh"
@@ -578,6 +579,35 @@ TEST(DelayQueueDeath, PopBeforeMaturityPanics)
     DelayQueue<int> q(4, 5);
     q.push(1);
     EXPECT_DEATH(q.pop(), "non-ready");
+}
+
+TEST(IndexSet, WalksMembersInAscendingOrderAcrossWords)
+{
+    IndexSet set;
+    set.resize(130);
+    EXPECT_FALSE(set.any());
+    for (const unsigned i : {129u, 0u, 64u, 63u, 7u})
+        set.insert(i);
+    set.set(7, false);
+    set.set(100, true);
+    std::vector<unsigned> seen;
+    set.forEach([&](unsigned i) {
+        seen.push_back(i);
+        return true;
+    });
+    EXPECT_EQ(seen, (std::vector<unsigned>{0, 63, 64, 100, 129}));
+
+    // The walk may erase the member it was given, and stops early on
+    // false.
+    seen.clear();
+    set.forEach([&](unsigned i) {
+        seen.push_back(i);
+        set.erase(i);
+        return i < 64;
+    });
+    EXPECT_EQ(seen, (std::vector<unsigned>{0, 63, 64}));
+    set.clear();
+    EXPECT_FALSE(set.any());
 }
 
 } // namespace

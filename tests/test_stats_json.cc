@@ -103,8 +103,10 @@ TEST(StatsJson, ControlCharactersAreEscapedPerRfc8259)
     // embedded in text (bytes >= 0x80 pass through unescaped).
     for (unsigned b = 0; b <= 0xFF; ++b) {
         const char c = static_cast<char>(b);
-        for (const std::string &text :
-             {std::string(1, c), "a" + std::string(1, c) + "z"}) {
+        std::string embedded = "a";
+        embedded += c;
+        embedded += 'z';
+        for (const std::string &text : {std::string(1, c), embedded}) {
             std::ostringstream round;
             emitJsonString(round, text);
             const auto parsed = common::parseJson(round.str());
