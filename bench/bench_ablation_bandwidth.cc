@@ -35,16 +35,9 @@ main()
         std::vector<std::string> row{algo::algorithmName(id)};
         double base_seconds = 0.0;
         for (const unsigned channels : channel_counts) {
-            const std::string tag =
-                "gds-bw" + std::to_string(channels * 16);
-            const auto record = cache.getOrRun(
-                harness::cellKey(tag, id, "LJ"), [&] {
-                    core::GdsConfig cfg;
-                    cfg.hbm.numChannels = channels;
-                    return harness::runGds(id, "LJ", g,
-                                           harness::GdsVariant::Full,
-                                           &cfg);
-                });
+            harness::RunSpec spec(harness::SystemId::GraphDynS, id, "LJ");
+            spec.gds.hbm.numChannels = channels;
+            const auto record = bench::cachedRun(cache, spec, g);
             if (channels == 32)
                 base_seconds = record.seconds;
             row.push_back(Table::num(record.gteps, 1) + " GTEPS");

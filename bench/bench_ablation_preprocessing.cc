@@ -33,13 +33,14 @@ main()
     for (const algo::AlgorithmId id : algo::allAlgorithms) {
         const bool w = algo::makeAlgorithm(id)->usesWeights();
         const graph::Csr &g = w ? weighted : unweighted;
-        const auto plain = cache.getOrRun(
-            harness::cellKey("gds", id, "LJ"),
-            [&] { return harness::runGds(id, "LJ", g); });
-        const auto sorted_record = cache.getOrRun(
-            harness::cellKey("gds-degsorted", id, "LJ"), [&] {
-                const graph::Csr sorted = graph::degreeSortReorder(g);
-                return harness::runGds(id, "LJ-degsorted", sorted);
+        const auto plain = bench::cachedRun(
+            cache, {harness::SystemId::GraphDynS, id, "LJ"}, g);
+        const harness::RunSpec sorted_spec(harness::SystemId::GraphDynS, id,
+                                           "LJ-degsorted");
+        const auto sorted_record =
+            cache.getOrRun(sorted_spec.key(), [&] {
+                return harness::run(sorted_spec,
+                                    graph::degreeSortReorder(g));
             });
         const double delta =
             (sorted_record.gteps / plain.gteps - 1.0) * 100.0;

@@ -31,15 +31,10 @@ main()
     for (const algo::AlgorithmId id : algo::allAlgorithms) {
         const bool w = algo::makeAlgorithm(id)->usesWeights();
         const graph::Csr &g = w ? weighted : unweighted;
-        const auto no_wb = cache.getOrRun(
-            harness::cellKey("gds-noWB", id, "LJ"), [&] {
-                return harness::runGds(id, "LJ", g,
-                                       harness::GdsVariant::NoWb);
-            });
-        const auto full = cache.getOrRun(
-            harness::cellKey("gds", id, "LJ"), [&] {
-                return harness::runGds(id, "LJ", g);
-            });
+        harness::RunSpec spec(harness::SystemId::GraphDynS, id, "LJ");
+        const auto full = bench::cachedRun(cache, spec, g);
+        spec.variant = harness::GdsVariant::NoWb;
+        const auto no_wb = bench::cachedRun(cache, spec, g);
         const double reduction =
             (1.0 - full.schedulingOps / no_wb.schedulingOps) * 100.0;
         reductions.push_back(reduction);

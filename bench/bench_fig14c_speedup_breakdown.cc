@@ -33,19 +33,13 @@ main()
     for (const algo::AlgorithmId id : algo::allAlgorithms) {
         const bool w = algo::makeAlgorithm(id)->usesWeights();
         const graph::Csr &g = w ? weighted : unweighted;
-        const auto gi = cache.getOrRun(
-            harness::cellKey("graphicionado", id, "LJ"), [&] {
-                return harness::runGraphicionado(id, "LJ", g);
-            });
+        const auto gi = bench::cachedRun(
+            cache, {harness::SystemId::Graphicionado, id, "LJ"}, g);
         std::vector<std::string> row{algo::algorithmName(id)};
         for (const GdsVariant v : variants) {
-            const std::string tag =
-                v == GdsVariant::Full ? "gds"
-                                      : "gds-" + harness::variantName(v);
-            const auto record = cache.getOrRun(
-                harness::cellKey(tag, id, "LJ"), [&] {
-                    return harness::runGds(id, "LJ", g, v);
-                });
+            harness::RunSpec spec(harness::SystemId::GraphDynS, id, "LJ");
+            spec.variant = v;
+            const auto record = bench::cachedRun(cache, spec, g);
             const double speedup = gi.seconds / record.seconds;
             speedups[harness::variantName(v)].push_back(speedup);
             row.push_back(Table::num(speedup));

@@ -31,12 +31,9 @@ main()
         const bool w = algo::makeAlgorithm(id)->usesWeights();
         const graph::Csr &g = w ? weighted : unweighted;
         auto cell = [&](GdsVariant v) {
-            const std::string tag =
-                v == GdsVariant::Full ? "gds"
-                                      : "gds-" + harness::variantName(v);
-            return cache.getOrRun(harness::cellKey(tag, id, "LJ"), [&] {
-                return harness::runGds(id, "LJ", g, v);
-            });
+            harness::RunSpec spec(harness::SystemId::GraphDynS, id, "LJ");
+            spec.variant = v;
+            return bench::cachedRun(cache, spec, g);
         };
         const auto wb = cell(GdsVariant::Wb);
         const auto we = cell(GdsVariant::We);

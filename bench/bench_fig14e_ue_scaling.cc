@@ -30,16 +30,9 @@ main()
         const bool w = algo::makeAlgorithm(id)->usesWeights();
         const graph::Csr &g = w ? weighted : unweighted;
         for (const unsigned ues : ue_counts) {
-            const std::string tag =
-                ues == 128 ? "gds" : "gds-ue" + std::to_string(ues);
-            const auto record = cache.getOrRun(
-                harness::cellKey(tag, id, "LJ"), [&] {
-                    core::GdsConfig cfg;
-                    cfg.numUes = ues;
-                    return harness::runGds(id, "LJ", g,
-                                           harness::GdsVariant::Full,
-                                           &cfg);
-                });
+            harness::RunSpec spec(harness::SystemId::GraphDynS, id, "LJ");
+            spec.gds.numUes = ues;
+            const auto record = bench::cachedRun(cache, spec, g);
             seconds[id][ues] = record.seconds;
         }
         std::vector<std::string> row{algo::algorithmName(id)};

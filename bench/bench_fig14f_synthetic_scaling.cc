@@ -35,19 +35,15 @@ main()
         if (spec.rmatScale > max_scale)
             continue;
         const graph::Csr g = harness::loadDataset(spec.name, false);
-        const auto gds = cache.getOrRun(
-            harness::cellKey("gds", algo::AlgorithmId::Pr, spec.name),
-            [&] {
-                return harness::runGds(algo::AlgorithmId::Pr, spec.name,
-                                       g);
-            });
-        const auto gi = cache.getOrRun(
-            harness::cellKey("graphicionado", algo::AlgorithmId::Pr,
-                             spec.name),
-            [&] {
-                return harness::runGraphicionado(algo::AlgorithmId::Pr,
-                                                 spec.name, g);
-            });
+        const auto gds = bench::cachedRun(
+            cache,
+            {harness::SystemId::GraphDynS, algo::AlgorithmId::Pr, spec.name},
+            g);
+        const auto gi = bench::cachedRun(
+            cache,
+            {harness::SystemId::Graphicionado, algo::AlgorithmId::Pr,
+             spec.name},
+            g);
         core::GdsConfig cfg;
         const unsigned slices =
             graph::numSlices(g.numVertices(), cfg.sliceCapacity());

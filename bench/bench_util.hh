@@ -51,6 +51,14 @@ sharedMatrix(harness::ResultCache &cache)
     return harness::evaluationMatrix(cache);
 }
 
+/** The cached record of @p spec on @p g, simulated on a cache miss. */
+inline harness::RunRecord
+cachedRun(harness::ResultCache &cache, const harness::RunSpec &spec,
+          const graph::Csr &g)
+{
+    return cache.getOrRun(spec.key(), [&] { return harness::run(spec, g); });
+}
+
 /**
  * Fetch one successful matrix cell, or announce the skip and return
  * nullptr. Benches drop the whole row when any system's cell is missing

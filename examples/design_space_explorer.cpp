@@ -29,9 +29,11 @@ main()
     const harness::GdsVariant variants[] = {
         harness::GdsVariant::Wb, harness::GdsVariant::We,
         harness::GdsVariant::Wea, harness::GdsVariant::Full};
+    harness::RunSpec spec(harness::SystemId::GraphDynS,
+                          algo::AlgorithmId::Pr, "FR");
     for (const auto v : variants) {
-        const auto r =
-            harness::runGds(algo::AlgorithmId::Pr, "FR", g, v);
+        spec.variant = v;
+        const auto r = harness::run(spec, g);
         ablation.addRow({harness::variantName(v),
                          Table::num(r.seconds * 1e3, 3),
                          Table::num(r.gteps, 1),
@@ -45,12 +47,11 @@ main()
     std::printf("\nUpdater-count sweep (performance vs silicon):\n");
     Table sweep({"UEs", "time(ms)", "GTEPS", "power(W)", "area(mm2)"});
     energy::EnergyModel model;
+    spec.variant = harness::GdsVariant::Full;
     for (const unsigned ues : {32u, 64u, 128u, 256u}) {
-        core::GdsConfig cfg;
-        cfg.numUes = ues;
-        const auto r = harness::runGds(algo::AlgorithmId::Pr, "FR", g,
-                                       harness::GdsVariant::Full, &cfg);
-        const auto hw = model.gdsBreakdown(cfg);
+        spec.gds.numUes = ues;
+        const auto r = harness::run(spec, g);
+        const auto hw = model.gdsBreakdown(spec.gds);
         sweep.addRow({std::to_string(ues),
                       Table::num(r.seconds * 1e3, 3),
                       Table::num(r.gteps, 1),

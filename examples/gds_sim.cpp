@@ -7,17 +7,18 @@
  *   gds_sim --algo sssp --graph edges.txt --system graphicionado
  *   gds_sim --algo bfs --rmat 18 --system all --stats
  *
- * Options:
+ * Options: the run-spec fields of harness::specFields(), shared with
+ * gds_cli and the daemon (README "One run from the command line";
+ * --progress-interval is daemon-only):
  *   --algo bfs|sssp|cc|sswp|pr     algorithm (required)
  *   --system gds|graphicionado|gunrock|all   (default gds)
  *   --dataset NAME                 a Table 4 dataset (FR PK LJ HO IN OR,
  *                                  RM22..RM26), scaled by GDS_SCALE
+ *   --source VID  --iters N  --cycle-budget N  --wall-budget SEC
+ *   --pes N  --ues N  --no-wb  --no-ep  --no-ao  --no-us
+ * and the driver's own:
  *   --graph FILE                   whitespace edge-list file
  *   --rmat SCALE                   RMAT graph with 2^SCALE vertices
- *   --source VID                   source vertex (default: max degree)
- *   --iters N                      iteration cap (default: 10 for PR)
- *   --ues N / --pes N              GraphDynS structural knobs
- *   --no-wb --no-ep --no-ao --no-us   disable a scheduling technique
  *   --stats                        dump the full statistics tree
  *   --trace FILE                   write a Perfetto-loadable event trace
  *   --sample-interval N            sample stats every N cycles
@@ -41,19 +42,16 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 
-#include "baseline/graphicionado.hh"
 #include "common/parse.hh"
-#include "baseline/gunrock_sim.hh"
-#include "core/gds_accel.hh"
-#include "energy/energy_model.hh"
 #include "graph/generators.hh"
 #include "graph/loader.hh"
+#include "graph/slicer.hh"
 #include "harness/experiment.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
@@ -65,15 +63,11 @@ namespace
 
 struct Options
 {
-    std::optional<algo::AlgorithmId> algorithm;
-    /** The system to simulate; unset means --system all. */
-    std::optional<harness::SystemId> system = harness::SystemId::GraphDynS;
-    std::string dataset;
+    /** What to simulate; its system is ignored under --system all. */
+    harness::RunSpec spec;
+    bool allSystems = false;
     std::string graphFile;
     std::optional<unsigned> rmatScale;
-    std::optional<VertexId> source;
-    std::optional<unsigned> iterations;
-    core::GdsConfig gdsConfig;
     bool dumpStats = false;
     std::string traceFile;
     Cycle sampleInterval = 0;
@@ -98,9 +92,10 @@ usage(const char *argv0)
                  "usage: %s --algo bfs|sssp|cc|sswp|pr "
                  "[--system gds|graphicionado|gunrock|all]\n"
                  "       (--dataset NAME | --graph FILE | --rmat SCALE)\n"
-                 "       [--source VID] [--iters N] [--ues N] [--pes N]\n"
-                 "       [--no-wb] [--no-ep] [--no-ao] [--no-us] "
-                 "[--stats]\n"
+                 "       [--source VID] [--iters N] [--cycle-budget N] "
+                 "[--wall-budget SEC]\n"
+                 "       [--ues N] [--pes N] [--no-wb] [--no-ep] [--no-ao] "
+                 "[--no-us] [--stats]\n"
                  "       [--trace FILE] [--sample-interval N] "
                  "[--samples FILE]\n"
                  "       [--checkpoint-dir DIR] [--checkpoint-interval N] "
@@ -124,6 +119,7 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
+    harness::SpecValues values;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         // Both "--flag value" and "--flag=value" are accepted.
@@ -146,53 +142,30 @@ parseArgs(int argc, char **argv)
             if (inline_value)
                 usage(argv[0]);
         };
-        // Numeric flags go through the checked parser: "--num-pes=abc",
+        // Numeric flags go through the checked parser: "--rmat=abc",
         // "--source=-1" or an overflowing value is a ConfigError that
         // main() turns into a message + usage, never an uncaught
         // std::invalid_argument crash (which bare std::stoul threw).
         auto need_u64 = [&](std::uint64_t min_v, std::uint64_t max_v) {
             return common::requireU64(arg, need_value(), min_v, max_v);
         };
-        if (arg == "--algo")
-            opts.algorithm = valueOrThrow(algo::parseAlgorithm(need_value()));
-        else if (arg == "--system") {
-            const std::string name = need_value();
-            if (name == "all")
-                opts.system.reset();
+        // Run-spec fields come from the table shared with the daemon.
+        if (const harness::SpecField *f = harness::specFieldByFlag(arg);
+            f && !f->daemonOnly) {
+            std::string text;
+            if (f->kind == harness::SpecField::Kind::Switch)
+                no_value();
             else
-                opts.system = valueOrThrow(harness::parseSystem(name));
-        } else if (arg == "--dataset")
-            opts.dataset = need_value();
-        else if (arg == "--graph")
+                text = need_value();
+            if (arg == "--system" && text == "all")
+                opts.allSystems = true;
+            else
+                values[f] = text;
+        } else if (arg == "--graph")
             opts.graphFile = need_value();
         else if (arg == "--rmat")
             opts.rmatScale = static_cast<unsigned>(need_u64(1, 30));
-        else if (arg == "--source")
-            opts.source = static_cast<VertexId>(
-                need_u64(0, std::numeric_limits<VertexId>::max()));
-        else if (arg == "--iters")
-            opts.iterations = static_cast<unsigned>(
-                need_u64(1, std::numeric_limits<unsigned>::max()));
-        else if (arg == "--ues")
-            opts.gdsConfig.numUes =
-                static_cast<unsigned>(need_u64(1, 1 << 20));
-        else if (arg == "--pes") {
-            opts.gdsConfig.numPes =
-                static_cast<unsigned>(need_u64(1, 1 << 20));
-            opts.gdsConfig.numDispatchers = opts.gdsConfig.numPes;
-        } else if (arg == "--no-wb") {
-            no_value();
-            opts.gdsConfig.workloadBalance = false;
-        } else if (arg == "--no-ep") {
-            no_value();
-            opts.gdsConfig.exactPrefetch = false;
-        } else if (arg == "--no-ao") {
-            no_value();
-            opts.gdsConfig.zeroStallAtomics = false;
-        } else if (arg == "--no-us") {
-            no_value();
-            opts.gdsConfig.updateScheduling = false;
-        } else if (arg == "--stats") {
+        else if (arg == "--stats") {
             no_value();
             opts.dumpStats = true;
         } else if (arg == "--trace")
@@ -216,27 +189,16 @@ parseArgs(int argc, char **argv)
         else
             usage(argv[0]);
     }
-    if (!opts.algorithm)
-        usage(argv[0]);
-    const int graph_sources = (!opts.dataset.empty() ? 1 : 0) +
-                              (!opts.graphFile.empty() ? 1 : 0) +
+    const int graph_sources = (opts.graphFile.empty() ? 0 : 1) +
                               (opts.rmatScale ? 1 : 0);
-    if (graph_sources != 1)
+    opts.spec = valueOrThrow(harness::parseSpec(values, /*cli=*/true,
+                                                /*need_dataset=*/false));
+    if (graph_sources + (opts.spec.dataset.empty() ? 0 : 1) != 1)
         usage(argv[0]);
     if (opts.checkpointDir.empty() &&
         (opts.resume || opts.checkpointInterval != 0))
         fatal("--resume and --checkpoint-interval need --checkpoint-dir");
     return opts;
-}
-
-void
-printCommon(const char *system, double seconds, double gteps,
-            double bytes, double util, double energy_j)
-{
-    std::printf("%-14s time=%.4f ms  throughput=%.1f GTEPS  "
-                "traffic=%.1f MB  bw=%.0f%%  energy=%.2f mJ\n",
-                system, seconds * 1e3, gteps, bytes / 1e6, util * 100.0,
-                energy_j * 1e3);
 }
 
 } // namespace
@@ -259,14 +221,14 @@ main(int argc, char **argv)
     std::signal(SIGINT, handleStopSignal);
     std::signal(SIGTERM, handleStopSignal);
 
-    const auto algorithm_id = *opts.algorithm;
+    const harness::RunSpec &spec = opts.spec;
     const bool weighted =
-        algo::makeAlgorithm(algorithm_id)->usesWeights();
+        algo::makeAlgorithm(spec.algorithm)->usesWeights();
 
     // --- Obtain the graph. ---
     graph::Csr g;
-    if (!opts.dataset.empty()) {
-        g = harness::loadDataset(opts.dataset, weighted);
+    if (!spec.dataset.empty()) {
+        g = harness::loadDataset(spec.dataset, weighted);
     } else if (!opts.graphFile.empty()) {
         g = graph::loadEdgeList(opts.graphFile);
         if (weighted && !g.hasWeights())
@@ -276,21 +238,9 @@ main(int argc, char **argv)
     }
     std::printf("graph: %u vertices, %llu edges\n", g.numVertices(),
                 static_cast<unsigned long long>(g.numEdges()));
-
-    const VertexId source = opts.source
-                                ? *opts.source
-                                : harness::sourceFor(algorithm_id, g);
-    const unsigned iters = opts.iterations
-                               ? *opts.iterations
-                               : harness::iterationCap(algorithm_id);
     std::printf("%s from vertex %u, iteration cap %u\n\n",
-                algo::algorithmName(algorithm_id).c_str(), source, iters);
-
-    const bool all = !opts.system;
-    auto simulates = [&](harness::SystemId id) {
-        return all || *opts.system == id;
-    };
-    energy::EnergyModel energy_model;
+                algo::algorithmName(spec.algorithm).c_str(),
+                spec.sourceIn(g), spec.iterationLimit());
 
     // Telemetry: one tracer serves every simulated system (tracks are
     // per-component, so systems land on distinct tracks); samplers are
@@ -300,117 +250,83 @@ main(int argc, char **argv)
     std::optional<obs::ScopedActiveTracer> trace_scope;
     if (tracing)
         trace_scope.emplace(&tracer);
-    // Counter tracks ride the sample interval; default to 10k cycles
-    // when tracing without sampling.
-    const Cycle counter_interval =
-        tracing ? (opts.sampleInterval != 0 ? opts.sampleInterval : 10'000)
-                : 0;
     Cycle last_traced_cycle = 0;
-    auto sample_path = [&](const char *system_tag) {
-        return all ? std::string(system_tag) + "." + opts.sampleFile
-                   : opts.sampleFile;
-    };
-    auto dump_samples = [&](const obs::Sampler &sampler,
-                            const char *system_tag) {
-        const std::string path = sample_path(system_tag);
-        if (sampler.writeCsvFile(path)) {
-            std::printf("  samples: %s (%zu rows, every %llu cycles)\n",
-                        path.c_str(), sampler.sampleCount(),
-                        static_cast<unsigned long long>(
-                            opts.sampleInterval));
+
+    for (const harness::SystemId system :
+         {harness::SystemId::GraphDynS, harness::SystemId::Graphicionado,
+          harness::SystemId::Gunrock}) {
+        if (!opts.allSystems && system != spec.system)
+            continue;
+        harness::RunSpec run_spec = spec;
+        run_spec.system = system;
+        const char *tag = harness::systemTag(system);
+
+        harness::RunHooks hooks;
+        obs::Sampler sampler;
+        if (opts.sampleInterval != 0 &&
+            system != harness::SystemId::Gunrock) {
+            sampler.setInterval(opts.sampleInterval);
+            hooks.sampler = &sampler;
         }
-    };
-    // Per-system checkpoint basename so --system all runs don't collide.
-    auto checkpoint_for = [&](const char *system_tag) {
+        // Counter tracks ride the sample interval; default to 10k cycles
+        // when tracing without sampling.
+        if (tracing)
+            hooks.traceCounterInterval =
+                opts.sampleInterval != 0 ? opts.sampleInterval : 10'000;
+        // Per-system checkpoint basename so --system all runs don't
+        // collide; an empty dir leaves checkpointing off.
         core::CheckpointOptions ckpt;
-        if (opts.checkpointDir.empty())
-            return ckpt;
         ckpt.dir = opts.checkpointDir;
-        ckpt.basename = system_tag;
+        ckpt.basename = tag;
         ckpt.interval = opts.checkpointInterval;
         ckpt.resume = opts.resume;
-        return ckpt;
-    };
-    auto note_interrupted = [&](const core::RunResult &r) {
-        if (r.report.outcome != sim::RunOutcome::Stopped)
-            return;
-        std::printf("  stopped by signal at cycle %llu%s\n",
-                    static_cast<unsigned long long>(r.cycles),
-                    opts.checkpointDir.empty()
-                        ? ""
-                        : "; checkpoint written (rerun with --resume)");
-    };
+        hooks.checkpoint = &ckpt;
+        hooks.killAtCycle = opts.killAtCycle;
+        Cycle cycles = 0;
+        std::ostringstream stats_text;
+        hooks.onFinish = [&](const core::RunResult &result,
+                             const stats::Group &group) {
+            cycles = result.cycles;
+            if (opts.dumpStats)
+                group.dump(stats_text);
+        };
 
-    if (simulates(harness::SystemId::GraphDynS)) {
-        core::GdsConfig cfg = opts.gdsConfig;
-        cfg.maxIterations = iters;
-        auto a = algo::makeAlgorithm(algorithm_id);
-        core::GdsAccel accel(cfg, g, *a);
-        core::RunOptions run;
-        run.source = source;
-        obs::Sampler sampler;
-        if (opts.sampleInterval != 0) {
-            sampler.setInterval(opts.sampleInterval);
-            run.sampler = &sampler;
+        const harness::RunRecord r = harness::run(run_spec, g, hooks);
+        last_traced_cycle = std::max(last_traced_cycle, cycles);
+        std::printf("%-14s time=%.4f ms  throughput=%.1f GTEPS  "
+                    "traffic=%.1f MB  bw=%.0f%%  energy=%.2f mJ\n",
+                    r.system.c_str(), r.seconds * 1e3, r.gteps,
+                    r.memoryBytes / 1e6, r.bandwidthUtilization * 100.0,
+                    r.energyJoules * 1e3);
+        if (system == harness::SystemId::GraphDynS) {
+            std::printf(
+                "  iterations=%u slices=%u applies-skipped=%llu "
+                "atomic-stalls=%llu\n",
+                r.iterations,
+                graph::numSlices(g.numVertices(),
+                                 run_spec.gdsConfig().sliceCapacity()),
+                static_cast<unsigned long long>(r.updatesSkipped),
+                static_cast<unsigned long long>(r.atomicStalls));
         }
-        run.traceCounterInterval = counter_interval;
-        run.checkpoint = checkpoint_for("gds");
-        run.killAtCycle = opts.killAtCycle;
-        const auto r = accel.run(run);
-        last_traced_cycle = std::max(last_traced_cycle, r.cycles);
-        const auto e =
-            energy_model.gdsEnergy(cfg, r.cycles, r.memoryBytes);
-        printCommon("GraphDynS", static_cast<double>(r.cycles) * 1e-9,
-                    r.gteps(), static_cast<double>(r.memoryBytes),
-                    r.bandwidthUtilization, e.totalJ());
-        std::printf("  iterations=%u slices=%u applies-skipped=%llu "
-                    "atomic-stalls=%llu\n",
-                    r.iterations, accel.numSlices(),
-                    static_cast<unsigned long long>(r.updatesSkipped),
-                    static_cast<unsigned long long>(r.atomicStalls));
-        note_interrupted(r);
-        if (opts.sampleInterval != 0)
-            dump_samples(sampler, "gds");
-        if (opts.dumpStats)
-            accel.statsGroup().dump(std::cout);
-    }
-    if (simulates(harness::SystemId::Graphicionado)) {
-        baseline::GraphicionadoConfig cfg;
-        cfg.maxIterations = iters;
-        auto a = algo::makeAlgorithm(algorithm_id);
-        baseline::GraphicionadoAccel accel(cfg, g, *a);
-        core::RunOptions run;
-        run.source = source;
-        obs::Sampler sampler;
-        if (opts.sampleInterval != 0) {
-            sampler.setInterval(opts.sampleInterval);
-            run.sampler = &sampler;
+        if (r.status == errorCodeName(ErrorCode::Stopped)) {
+            std::printf("  stopped by signal at cycle %llu%s\n",
+                        static_cast<unsigned long long>(cycles),
+                        opts.checkpointDir.empty()
+                            ? ""
+                            : "; checkpoint written (rerun with --resume)");
         }
-        run.traceCounterInterval = counter_interval;
-        run.checkpoint = checkpoint_for("graphicionado");
-        run.killAtCycle = opts.killAtCycle;
-        const auto r = accel.run(run);
-        last_traced_cycle = std::max(last_traced_cycle, r.cycles);
-        const auto e = energy_model.graphicionadoEnergy(cfg, r.cycles,
-                                                        r.memoryBytes);
-        printCommon("Graphicionado", static_cast<double>(r.cycles) * 1e-9,
-                    r.gteps(), static_cast<double>(r.memoryBytes),
-                    r.bandwidthUtilization, e.totalJ());
-        note_interrupted(r);
-        if (opts.sampleInterval != 0)
-            dump_samples(sampler, "graphicionado");
-        if (opts.dumpStats)
-            accel.statsGroup().dump(std::cout);
-    }
-    if (simulates(harness::SystemId::Gunrock)) {
-        baseline::GunrockConfig cfg;
-        cfg.maxIterations = iters;
-        auto a = algo::makeAlgorithm(algorithm_id);
-        baseline::GunrockSim gpu(cfg, g, *a);
-        const auto r = gpu.run(source);
-        printCommon("Gunrock", r.seconds, r.gteps(),
-                    static_cast<double>(r.memoryBytes),
-                    r.bandwidthUtilization, r.energyJoules);
+        if (hooks.sampler) {
+            const std::string path =
+                opts.allSystems ? std::string(tag) + "." + opts.sampleFile
+                                : opts.sampleFile;
+            if (sampler.writeCsvFile(path)) {
+                std::printf("  samples: %s (%zu rows, every %llu cycles)\n",
+                            path.c_str(), sampler.sampleCount(),
+                            static_cast<unsigned long long>(
+                                opts.sampleInterval));
+            }
+        }
+        std::cout << stats_text.str();
     }
     if (tracing) {
         // An aborted run (watchdog, cycle budget) can leave phase spans

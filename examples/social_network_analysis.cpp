@@ -28,10 +28,12 @@ main()
     std::printf("PageRank (10 iterations) on the three systems:\n");
     harness::Table table({"system", "time(ms)", "GTEPS", "traffic(MB)",
                           "energy(mJ)"});
-    const auto gds = harness::runGds(algo::AlgorithmId::Pr, "PK", g);
-    const auto gi =
-        harness::runGraphicionado(algo::AlgorithmId::Pr, "PK", g);
-    const auto gpu = harness::runGunrock(algo::AlgorithmId::Pr, "PK", g);
+    auto pr_on = [&](harness::SystemId system) {
+        return harness::run({system, algo::AlgorithmId::Pr, "PK"}, g);
+    };
+    const auto gds = pr_on(harness::SystemId::GraphDynS);
+    const auto gi = pr_on(harness::SystemId::Graphicionado);
+    const auto gpu = pr_on(harness::SystemId::Gunrock);
     for (const auto *r : {&gds, &gi, &gpu}) {
         table.addRow({r->system, harness::Table::num(r->seconds * 1e3, 3),
                       harness::Table::num(r->gteps, 1),

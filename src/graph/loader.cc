@@ -20,7 +20,6 @@ namespace
 {
 
 constexpr std::uint32_t binaryMagic = 0x42534447; // "GDSB" little-endian
-constexpr std::uint32_t binaryVersionV1 = 1;
 constexpr std::uint32_t binaryVersionV2 = 2;
 /** Written as 0x01020304; reads back permuted on a foreign-endian host. */
 constexpr std::uint32_t endianGuardValue = 0x01020304;
@@ -146,104 +145,6 @@ writeBinaryFile(const Csr &graph, const std::string &path)
         fatal("write failure on '%s'", path.c_str());
 }
 
-/**
- * Binary reads over untrusted v1 files: every length field is checked
- * against the bytes actually remaining in the file before anything is
- * allocated or read, so a truncated or corrupted header raises
- * CorruptInputError instead of a huge allocation or a silent short read.
- */
-class BoundedReader
-{
-  public:
-    BoundedReader(std::ifstream &stream, const std::string &file_path)
-        : is(stream), path(file_path)
-    {
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(path, ec);
-        if (ec)
-            throw CorruptInputError(path, 0, "cannot determine file size");
-        remaining = static_cast<std::uint64_t>(size);
-    }
-
-    template <typename T>
-    T
-    readPod(const char *what)
-    {
-        T value{};
-        need(sizeof(T), what);
-        is.read(reinterpret_cast<char *>(&value), sizeof(T));
-        check(what);
-        remaining -= sizeof(T);
-        return value;
-    }
-
-    template <typename T>
-    std::vector<T>
-    readVec(const char *what)
-    {
-        const auto n = readPod<std::uint64_t>(what);
-        if (n > remaining / sizeof(T)) {
-            throw CorruptInputError(
-                path, 0,
-                gds::detail::vformat(
-                    "%s length %llu exceeds the remaining %llu bytes", what,
-                    static_cast<unsigned long long>(n),
-                    static_cast<unsigned long long>(remaining)));
-        }
-        std::vector<T> v(n);
-        is.read(reinterpret_cast<char *>(v.data()),
-                static_cast<std::streamsize>(n * sizeof(T)));
-        check(what);
-        remaining -= n * sizeof(T);
-        return v;
-    }
-
-  private:
-    void
-    need(std::uint64_t bytes, const char *what)
-    {
-        if (bytes > remaining) {
-            throw CorruptInputError(
-                path, 0,
-                gds::detail::vformat("truncated while reading %s", what));
-        }
-    }
-
-    void
-    check(const char *what)
-    {
-        if (!is) {
-            throw CorruptInputError(
-                path, 0,
-                gds::detail::vformat("read failure on %s", what));
-        }
-    }
-
-    std::ifstream &is;
-    const std::string &path;
-    std::uint64_t remaining = 0;
-};
-
-/** Legacy v1 body: three length-prefixed arrays after magic+version. */
-Csr
-loadBinaryV1(std::ifstream &in, const std::string &path)
-{
-    BoundedReader reader(in, path);
-    (void)reader.readPod<std::uint32_t>("magic");
-    (void)reader.readPod<std::uint32_t>("version");
-    auto offsets = reader.readVec<EdgeId>("offset array");
-    auto neighbors = reader.readVec<VertexId>("neighbor array");
-    auto weights = reader.readVec<Weight>("weight array");
-
-    // Pre-validate so corrupted contents surface as a typed error rather
-    // than tripping the Csr constructor's internal invariants.
-    const Status valid = Csr::validateArrays(offsets, neighbors, weights);
-    if (!valid.ok())
-        throw CorruptInputError(path, 0, valid.message());
-    return Csr(std::move(offsets), std::move(neighbors),
-               std::move(weights));
-}
-
 /** Parsed, bounds-checked v2 sections as typed views into a mapping. */
 struct ParsedV2
 {
@@ -350,9 +251,10 @@ parseV2(const common::MappedFile &file, bool verify_checksums)
     return parsed;
 }
 
-/** Magic+version sniff shared by both loaders. 0 on a too-short file. */
-std::uint32_t
-sniffVersion(const std::string &path)
+/** Magic+version check shared by both loaders: any version but 2 (the
+ *  retired v1 layout too) is CorruptInput. */
+void
+requireV2(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -365,7 +267,12 @@ sniffVersion(const std::string &path)
                                 "truncated while reading magic/version");
     if (magic_and_version[0] != binaryMagic)
         throw CorruptInputError(path, 0, "not a GDSB graph file");
-    return magic_and_version[1];
+    if (magic_and_version[1] != binaryVersionV2) {
+        throw CorruptInputError(
+            path, 0,
+            gds::detail::vformat("unsupported GDSB version %u",
+                                 magic_and_version[1]));
+    }
 }
 
 } // namespace
@@ -442,18 +349,7 @@ saveBinaryAtomic(const Csr &graph, const std::string &path)
 Csr
 loadBinary(const std::string &path)
 {
-    const std::uint32_t version = sniffVersion(path);
-    if (version == binaryVersionV1) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            throw ConfigError("cannot open graph '" + path + "'");
-        return loadBinaryV1(in, path);
-    }
-    if (version != binaryVersionV2) {
-        throw CorruptInputError(
-            path, 0,
-            gds::detail::vformat("unsupported GDSB version %u", version));
-    }
+    requireV2(path);
     // v2 heap path: map, verify everything, copy into owned vectors. The
     // mapping is released on return; only the heap copies survive.
     const auto file = common::MappedFile::open(path);
@@ -475,17 +371,7 @@ loadBinary(const std::string &path)
 Csr
 loadBinaryMapped(const std::string &path, const MapOptions &opts)
 {
-    const std::uint32_t version = sniffVersion(path);
-    if (version == binaryVersionV1) {
-        // v1 sections are neither aligned nor checksummed; serve the
-        // legacy file through the heap loader instead.
-        return loadBinary(path);
-    }
-    if (version != binaryVersionV2) {
-        throw CorruptInputError(
-            path, 0,
-            gds::detail::vformat("unsupported GDSB version %u", version));
-    }
+    requireV2(path);
     auto file = common::MappedFile::open(path);
     const ParsedV2 parsed = parseV2(*file, opts.verify);
     // The offset array is walked by every engine's per-vertex loop;

@@ -60,7 +60,7 @@ void saveBinaryAtomic(const Csr &graph, const std::string &path);
  * Magic, version, endianness guard, header and section checksums (v2)
  * and every length field are checked against the file size, and the
  * arrays are validated (Csr::validateArrays) before construction.
- * Version 1 files load through the legacy bounded reader.
+ * Any version but 2 (including the retired v1 layout) is refused.
  *
  * @throws ConfigError when the file cannot be opened
  * @throws CorruptInputError on a truncated, foreign, or corrupted file
@@ -71,8 +71,7 @@ Csr loadBinary(const std::string &path);
  * Load a v2 binary graph zero-copy: the returned Csr's arrays are typed
  * views into a shared read-only mapping of the file (madvise'd for
  * sequential readahead), so repeated loads across processes share pages
- * and no heap copies are made. Version 1 files cannot be served in
- * place (unaligned sections) and fall back to the heap loader.
+ * and no heap copies are made. Any version but 2 is refused.
  *
  * @throws ConfigError when the file cannot be opened
  * @throws CorruptInputError on a truncated, foreign, or corrupted file,

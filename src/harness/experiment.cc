@@ -28,88 +28,6 @@
 namespace gds::harness
 {
 
-std::string
-systemName(SystemId id)
-{
-    switch (id) {
-      case SystemId::GraphDynS:
-        return "GraphDynS";
-      case SystemId::Graphicionado:
-        return "Graphicionado";
-      case SystemId::Gunrock:
-        return "Gunrock";
-    }
-    panic("bad system id");
-}
-
-Result<SystemId>
-parseSystem(const std::string &name)
-{
-    const std::string s = common::lowercase(name);
-    if (s == "gds" || s == "graphdyns")
-        return SystemId::GraphDynS;
-    if (s == "graphicionado")
-        return SystemId::Graphicionado;
-    if (s == "gunrock")
-        return SystemId::Gunrock;
-    return Status::failure(ErrorCode::Config,
-                           "unknown system '" + name +
-                               "' (want gds, graphicionado or gunrock)");
-}
-
-const char *
-systemTag(SystemId id)
-{
-    switch (id) {
-      case SystemId::GraphDynS:
-        return "gds";
-      case SystemId::Graphicionado:
-        return "graphicionado";
-      case SystemId::Gunrock:
-        return "gunrock";
-    }
-    panic("bad system id");
-}
-
-std::string
-variantName(GdsVariant v)
-{
-    switch (v) {
-      case GdsVariant::Full:
-        return "WEAU";
-      case GdsVariant::Wb:
-        return "WB";
-      case GdsVariant::We:
-        return "WE";
-      case GdsVariant::Wea:
-        return "WEA";
-      case GdsVariant::NoWb:
-        return "noWB";
-    }
-    panic("bad variant");
-}
-
-unsigned
-iterationCap(algo::AlgorithmId id)
-{
-    // PR runs a fixed budget (the paper's "maximum number of
-    // iterations"); the monotone algorithms converge on their own.
-    return id == algo::AlgorithmId::Pr ? 10 : 1000;
-}
-
-VertexId
-sourceFor(algo::AlgorithmId id, const graph::Csr &g)
-{
-    switch (id) {
-      case algo::AlgorithmId::Bfs:
-      case algo::AlgorithmId::Sssp:
-      case algo::AlgorithmId::Sswp:
-        return algo::defaultSource(g);
-      default:
-        return 0;
-    }
-}
-
 bool
 datasetMmapEnabled()
 {
@@ -199,14 +117,8 @@ cellCheckpointOptions(const std::string &algorithm,
     ckpt.dir = dir;
     // One checkpoint file per cell: the basename encodes what is being
     // run, the identity (verified on resume) fingerprints how.
-    std::string base = algorithm + "_" + dataset + "_" + config_hash;
-    for (char &c : base) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_';
-        if (!ok)
-            c = '_';
-    }
-    ckpt.basename = base;
+    ckpt.basename =
+        checkpointBasename(algorithm + "_" + dataset + "_" + config_hash);
     ckpt.identity = config_hash;
     ckpt.resume = true;
     // 100 ms of simulated time at 1 GHz unless overridden; the strict
@@ -214,6 +126,18 @@ cellCheckpointOptions(const std::string &algorithm,
     ckpt.interval =
         common::parseEnvU64("GDS_CHECKPOINT_INTERVAL", 100'000'000, 1);
     return ckpt;
+}
+
+std::string
+checkpointBasename(std::string name)
+{
+    for (char &c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '-' || c == '_';
+        if (!ok)
+            c = '_';
+    }
+    return name;
 }
 
 RunRecord
@@ -258,192 +182,182 @@ runCell(const std::string &system, algo::AlgorithmId algorithm,
     }
 }
 
-core::GdsConfig
-applyVariant(core::GdsConfig cfg, GdsVariant v)
-{
-    switch (v) {
-      case GdsVariant::Full:
-        break;
-      case GdsVariant::Wb:
-        cfg.exactPrefetch = false;
-        cfg.zeroStallAtomics = false;
-        cfg.updateScheduling = false;
-        break;
-      case GdsVariant::We:
-        cfg.zeroStallAtomics = false;
-        cfg.updateScheduling = false;
-        break;
-      case GdsVariant::Wea:
-        cfg.updateScheduling = false;
-        break;
-      case GdsVariant::NoWb:
-        cfg.workloadBalance = false;
-        break;
-    }
-    return cfg;
-}
-
 namespace
 {
 
-RunRecord
-baseRecord(const std::string &system, algo::AlgorithmId id,
-           const std::string &dataset)
-{
-    RunRecord r;
-    r.system = system;
-    r.algorithm = algo::algorithmName(id);
-    r.dataset = dataset;
-    return r;
-}
-
 /**
- * Resolve the effective RunOptions for one cell: per-job CellPolicy
- * overrides first, the env-driven defaults (GDS_CELL_BUDGET & friends)
- * for anything the policy leaves unset.
+ * Resolve the effective RunOptions of one run: the spec's overrides
+ * first, the env-driven defaults (GDS_CELL_BUDGET & friends) for
+ * anything it leaves unset, then the per-call hooks.
  */
 core::RunOptions
-cellRunOptions(algo::AlgorithmId algorithm, const std::string &dataset,
-               const graph::Csr &g, const std::string &config_hash,
-               const CellPolicy *policy)
+cellRunOptions(const RunSpec &spec, const graph::Csr &g,
+               const std::string &config_hash, const RunHooks &hooks)
 {
     core::RunOptions options;
-    options.source = policy && policy->source ? *policy->source
-                                              : sourceFor(algorithm, g);
-    options.cycleBudget = policy && policy->cycleBudget != 0
-                              ? policy->cycleBudget
-                              : cellCycleBudget();
-    options.wallBudgetSeconds = policy && policy->wallBudgetSeconds >= 0.0
-                                    ? policy->wallBudgetSeconds
+    options.source = spec.sourceIn(g);
+    options.cycleBudget =
+        spec.cycleBudget != 0 ? spec.cycleBudget : cellCycleBudget();
+    options.wallBudgetSeconds = spec.wallBudgetSeconds >= 0.0
+                                    ? spec.wallBudgetSeconds
                                     : cellWallBudgetSeconds();
     options.checkpoint =
-        policy && policy->checkpoint
-            ? *policy->checkpoint
-            : cellCheckpointOptions(algo::algorithmName(algorithm), dataset,
-                                    config_hash);
-    options.sampler = policy ? policy->sampler : nullptr;
+        hooks.checkpoint
+            ? *hooks.checkpoint
+            : cellCheckpointOptions(algo::algorithmName(spec.algorithm),
+                                    spec.dataset, config_hash);
+    options.sampler = hooks.sampler;
+    options.traceCounterInterval = hooks.traceCounterInterval;
+    options.killAtCycle = hooks.killAtCycle;
     return options;
 }
 
-/**
- * Simulate one accelerator cell into @p r: the sim/validate wall split,
- * the watchdog status and the counters every accelerator reports
- * (Graphicionado's schedulingOps and updatesSkipped are 0).
- * @p energy_joules prices the run and is timed as validation.
- */
-template <typename Accel, typename EnergyFn>
-RunRecord
-simulateCell(RunRecord r, Accel &accel, const core::RunOptions &options,
-             const EnergyFn &energy_joules)
+double
+energyJoules(const core::GdsConfig &cfg, const core::RunResult &run)
 {
-    core::RunResult run;
+    return energy::EnergyModel{}
+        .gdsEnergy(cfg, run.cycles, run.memoryBytes)
+        .totalJ();
+}
+
+double
+energyJoules(const baseline::GraphicionadoConfig &cfg,
+             const core::RunResult &run)
+{
+    return energy::EnergyModel{}
+        .graphicionadoEnergy(cfg, run.cycles, run.memoryBytes)
+        .totalJ();
+}
+
+/**
+ * Build and simulate one cycle-level accelerator cell into @p r: the
+ * sim/validate wall split, the watchdog status and the counters every
+ * accelerator reports (Graphicionado's schedulingOps and updatesSkipped
+ * are 0). Pricing the run is timed as validation.
+ */
+template <typename Accel, typename Config>
+RunRecord
+simulateCell(RunRecord r, const Config &cfg, const graph::Csr &g,
+             const RunSpec &spec, const RunHooks &hooks)
+{
+    const auto algorithm = algo::makeAlgorithm(spec.algorithm);
+    Accel accel(cfg, g, *algorithm);
+    r.configHash = configHash(cfg);
+    const core::RunOptions options =
+        cellRunOptions(spec, g, r.configHash, hooks);
+    core::RunResult result;
     {
         const ScopedWallTimer timer(r.wallSimSeconds);
-        run = accel.run(options);
+        result = accel.run(options);
     }
+    if (hooks.onFinish)
+        hooks.onFinish(result, accel.statsGroup());
 
     double validate_seconds = 0.0;
     const ScopedWallTimer validate_timer(validate_seconds);
-    if (!run.completed())
-        r.status = errorCodeName(sim::runOutcomeError(run.report.outcome));
-    r.iterations = run.iterations;
-    r.seconds = static_cast<double>(run.cycles) * 1e-9;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = energy_joules(run);
-    r.schedulingOps = static_cast<double>(run.schedulingOps);
-    r.atomicStalls = static_cast<double>(run.atomicStalls);
-    r.updatesSkipped = static_cast<double>(run.updatesSkipped);
-    r.vertexUpdates = static_cast<double>(run.vertexUpdates);
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
+    if (!result.completed())
+        r.status = errorCodeName(sim::runOutcomeError(result.report.outcome));
+    r.iterations = result.iterations;
+    r.seconds = static_cast<double>(result.cycles) * 1e-9;
+    r.gteps = result.gteps();
+    r.memoryBytes = static_cast<double>(result.memoryBytes);
+    r.footprintBytes = static_cast<double>(result.footprintBytes);
+    r.bandwidthUtilization = result.bandwidthUtilization;
+    r.energyJoules = energyJoules(cfg, result);
+    r.schedulingOps = static_cast<double>(result.schedulingOps);
+    r.atomicStalls = static_cast<double>(result.atomicStalls);
+    r.updatesSkipped = static_cast<double>(result.updatesSkipped);
+    r.vertexUpdates = static_cast<double>(result.vertexUpdates);
+    r.edgesProcessed = static_cast<double>(result.edgesProcessed);
     r.wallValidateSeconds = validate_timer.elapsedSeconds();
     return r;
 }
 
+/** The spec of one legacy run*() call. */
+RunSpec
+shimSpec(SystemId system, algo::AlgorithmId algorithm,
+         const std::string &dataset, const CellPolicy *policy)
+{
+    RunSpec spec = policy ? *policy : RunSpec{};
+    spec.system = system;
+    spec.algorithm = algorithm;
+    spec.dataset = dataset;
+    return spec;
+}
+
 } // namespace
+
+RunRecord
+run(const RunSpec &spec, const graph::Csr &g, const RunHooks &hooks)
+{
+    RunRecord r;
+    r.system = systemName(spec.system);
+    r.algorithm = algo::algorithmName(spec.algorithm);
+    r.dataset = spec.dataset;
+
+    switch (spec.system) {
+      case SystemId::GraphDynS:
+        if (spec.variant != GdsVariant::Full)
+            r.system += '-' + variantName(spec.variant);
+        return simulateCell<core::GdsAccel>(std::move(r), spec.gdsConfig(),
+                                            g, spec, hooks);
+      case SystemId::Graphicionado: {
+        baseline::GraphicionadoConfig cfg;
+        cfg.maxIterations = spec.iterationLimit();
+        return simulateCell<baseline::GraphicionadoAccel>(std::move(r), cfg,
+                                                          g, spec, hooks);
+      }
+      case SystemId::Gunrock: {
+        baseline::GunrockConfig cfg;
+        cfg.maxIterations = spec.iterationLimit();
+        const auto algorithm = algo::makeAlgorithm(spec.algorithm);
+        baseline::GunrockSim gpu(cfg, g, *algorithm);
+        const VertexId source = spec.sourceIn(g);
+        baseline::GunrockResult result;
+        {
+            const ScopedWallTimer timer(r.wallSimSeconds);
+            result = gpu.run(source);
+        }
+        r.configHash = configHash(cfg);
+        r.iterations = result.iterations;
+        r.seconds = result.seconds;
+        r.gteps = result.gteps();
+        r.memoryBytes = static_cast<double>(result.memoryBytes);
+        r.footprintBytes = static_cast<double>(result.footprintBytes);
+        r.bandwidthUtilization = result.bandwidthUtilization;
+        r.energyJoules = result.energyJoules;
+        r.edgesProcessed = static_cast<double>(result.edgesProcessed);
+        return r;
+      }
+    }
+    panic("bad system id");
+}
 
 RunRecord
 runGds(algo::AlgorithmId algorithm, const std::string &dataset,
        const graph::Csr &g, GdsVariant variant,
        const core::GdsConfig *base, const CellPolicy *policy)
 {
-    core::GdsConfig cfg = base ? *base : core::GdsConfig{};
-    cfg.maxIterations = policy && policy->iterations
-                            ? *policy->iterations
-                            : iterationCap(algorithm);
-    cfg = applyVariant(cfg, variant);
-
-    auto a = algo::makeAlgorithm(algorithm);
-    core::GdsAccel accel(cfg, g, *a);
-    RunRecord r = baseRecord(variant == GdsVariant::Full
-                                 ? "GraphDynS"
-                                 : "GraphDynS-" + variantName(variant),
-                             algorithm, dataset);
-    r.configHash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, r.configHash, policy);
-    return simulateCell(std::move(r), accel, options,
-                        [&](const core::RunResult &run) {
-                            return energy::EnergyModel{}
-                                .gdsEnergy(cfg, run.cycles, run.memoryBytes)
-                                .totalJ();
-                        });
+    RunSpec spec = shimSpec(SystemId::GraphDynS, algorithm, dataset, policy);
+    spec.variant = variant;
+    if (base)
+        spec.gds = *base;
+    return run(spec, g);
 }
 
 RunRecord
 runGraphicionado(algo::AlgorithmId algorithm, const std::string &dataset,
                  const graph::Csr &g, const CellPolicy *policy)
 {
-    baseline::GraphicionadoConfig cfg;
-    cfg.maxIterations = policy && policy->iterations
-                            ? *policy->iterations
-                            : iterationCap(algorithm);
-
-    auto a = algo::makeAlgorithm(algorithm);
-    baseline::GraphicionadoAccel accel(cfg, g, *a);
-    RunRecord r = baseRecord("Graphicionado", algorithm, dataset);
-    r.configHash = configHash(cfg);
-    const core::RunOptions options =
-        cellRunOptions(algorithm, dataset, g, r.configHash, policy);
-    return simulateCell(
-        std::move(r), accel, options, [&](const core::RunResult &run) {
-            return energy::EnergyModel{}
-                .graphicionadoEnergy(cfg, run.cycles, run.memoryBytes)
-                .totalJ();
-        });
+    return run(shimSpec(SystemId::Graphicionado, algorithm, dataset, policy),
+               g);
 }
 
 RunRecord
 runGunrock(algo::AlgorithmId algorithm, const std::string &dataset,
            const graph::Csr &g)
 {
-    baseline::GunrockConfig cfg;
-    cfg.maxIterations = iterationCap(algorithm);
-
-    auto a = algo::makeAlgorithm(algorithm);
-    baseline::GunrockSim gpu(cfg, g, *a);
-
-    double sim_seconds = 0.0;
-    baseline::GunrockResult run;
-    {
-        const ScopedWallTimer timer(sim_seconds);
-        run = gpu.run(sourceFor(algorithm, g));
-    }
-
-    RunRecord r = baseRecord("Gunrock", algorithm, dataset);
-    r.configHash = configHash(cfg);
-    r.wallSimSeconds = sim_seconds;
-    r.iterations = run.iterations;
-    r.seconds = run.seconds;
-    r.gteps = run.gteps();
-    r.memoryBytes = static_cast<double>(run.memoryBytes);
-    r.footprintBytes = static_cast<double>(run.footprintBytes);
-    r.bandwidthUtilization = run.bandwidthUtilization;
-    r.energyJoules = run.energyJoules;
-    r.edgesProcessed = static_cast<double>(run.edgesProcessed);
-    return r;
+    return run(shimSpec(SystemId::Gunrock, algorithm, dataset, nullptr), g);
 }
 
 std::vector<RunRecord>
@@ -451,9 +365,8 @@ evaluationMatrix(ResultCache &cache)
 {
     struct Cell
     {
-        SystemId sys;
-        algo::AlgorithmId id;
-        const graph::DatasetSpec *spec;
+        RunSpec spec;
+        const graph::DatasetSpec *data;
         bool weighted;
     };
 
@@ -463,17 +376,17 @@ evaluationMatrix(ResultCache &cache)
     std::vector<Cell> cells;
     for (const algo::AlgorithmId id : algo::allAlgorithms) {
         const bool weighted = algo::makeAlgorithm(id)->usesWeights();
-        for (const auto &spec : graph::realWorldDatasets()) {
+        for (const auto &data : graph::realWorldDatasets()) {
             for (const SystemId sys :
                  {SystemId::GraphDynS, SystemId::Graphicionado,
                   SystemId::Gunrock})
-                cells.push_back({sys, id, &spec, weighted});
+                cells.push_back({{sys, id, data.name}, &data, weighted});
         }
     }
 
     DatasetPool pool;
     for (const Cell &c : cells)
-        pool.expect(c.spec->name, c.weighted);
+        pool.expect(c.data->name, c.weighted);
 
     std::vector<RunRecord> records(cells.size());
     std::vector<std::uint8_t> servedFromCache(cells.size(), 0);
@@ -482,9 +395,9 @@ evaluationMatrix(ResultCache &cache)
 
     auto run_one = [&](std::size_t i) {
         const Cell &c = cells[i];
-        const std::string system = systemName(c.sys);
-        const std::string &dataset = c.spec->name;
-        const std::string key = cellKey(systemTag(c.sys), c.id, dataset);
+        const std::string system = systemName(c.spec.system);
+        const std::string &dataset = c.data->name;
+        const std::string key = c.spec.key();
         servedFromCache[i] = cache.lookup(key).has_value() ? 1 : 0;
         running.fetch_add(1, std::memory_order_relaxed);
         // runCell degrades a failed cell (bad config, corrupt dataset,
@@ -492,26 +405,16 @@ evaluationMatrix(ResultCache &cache)
         // cell never kills a whole figure regeneration.
         records[i] = cache.getOrRun(key, [&] {
             log::infof("harness", {}, "%s %s %s", system.c_str(),
-                       algo::algorithmName(c.id).c_str(), dataset.c_str());
-            return runCell(system, c.id, dataset, [&] {
+                       algo::algorithmName(c.spec.algorithm).c_str(),
+                       dataset.c_str());
+            return runCell(system, c.spec.algorithm, dataset, [&] {
                 double load_seconds = 0.0;
                 DatasetPool::GraphPtr g;
                 {
                     const ScopedWallTimer timer(load_seconds);
                     g = pool.get(dataset, c.weighted);
                 }
-                RunRecord r;
-                switch (c.sys) {
-                  case SystemId::GraphDynS:
-                    r = runGds(c.id, dataset, *g);
-                    break;
-                  case SystemId::Graphicionado:
-                    r = runGraphicionado(c.id, dataset, *g);
-                    break;
-                  case SystemId::Gunrock:
-                    r = runGunrock(c.id, dataset, *g);
-                    break;
-                }
+                RunRecord r = run(c.spec, *g);
                 r.wallLoadSeconds = load_seconds;
                 return r;
             });
@@ -533,12 +436,11 @@ evaluationMatrix(ResultCache &cache)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const RunRecord &r = records[i];
         ManifestCell entry;
-        entry.key = cellKey(systemTag(cells[i].sys), cells[i].id,
-                            cells[i].spec->name);
+        entry.key = cells[i].spec.key();
         entry.system = r.system;
         entry.algorithm = r.algorithm;
         entry.dataset = r.dataset;
-        entry.seed = cells[i].spec->seed;
+        entry.seed = cells[i].data->seed;
         entry.configHash = r.configHash;
         entry.outcome = r.status;
         entry.cached = servedFromCache[i] != 0;

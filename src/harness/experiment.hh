@@ -25,43 +25,10 @@
 #include "baseline/gunrock_sim.hh"
 #include "core/gds_accel.hh"
 #include "graph/datasets.hh"
+#include "harness/run_spec.hh"
 
 namespace gds::harness
 {
-
-/** The three evaluated systems. */
-enum class SystemId
-{
-    GraphDynS,
-    Graphicionado,
-    Gunrock,
-};
-
-std::string systemName(SystemId id);
-
-/**
- * Parse a system name, case-insensitively ("gds" or "graphdyns",
- * "graphicionado", "gunrock"): the one parser behind the CLI's --system
- * and the daemon's "system" field. An unknown name is a Config failure.
- */
-Result<SystemId> parseSystem(const std::string &name);
-
-/** Result-cache key tag of a system ("gds", "graphicionado",
- *  "gunrock"), shared by the evaluation matrix and the daemon so both
- *  hit the same cells. parseSystem() accepts every tag. */
-const char *systemTag(SystemId id);
-
-/** GraphDynS ablation configurations (Fig. 14c naming). */
-enum class GdsVariant
-{
-    Full,  ///< WEAU: all four techniques (the default GraphDynS)
-    Wb,    ///< workload balancing only
-    We,    ///< WB + exact prefetching
-    Wea,   ///< WE + zero-stall atomics
-    NoWb,  ///< everything except workload balancing (Fig. 14a baseline)
-};
-
-std::string variantName(GdsVariant v);
 
 /** Outcome of one (system, algorithm, dataset) cell. */
 struct RunRecord
@@ -96,12 +63,6 @@ struct RunRecord
 
     bool ok() const { return status == "ok"; }
 };
-
-/** Iteration cap policy: PR runs a fixed budget, others to convergence. */
-unsigned iterationCap(algo::AlgorithmId id);
-
-/** Deterministic source policy (highest-degree vertex for traversals). */
-VertexId sourceFor(algo::AlgorithmId id, const graph::Csr &g);
 
 /**
  * Materialize a Table 4 dataset at the global scale divisor, with a
@@ -179,51 +140,58 @@ RunRecord runCell(const std::string &system, algo::AlgorithmId algorithm,
                   const std::string &dataset,
                   const std::function<RunRecord()> &compute);
 
-/** Apply a variant to a base GraphDynS configuration. */
-core::GdsConfig applyVariant(core::GdsConfig cfg, GdsVariant v);
+/** Filesystem-safe checkpoint basename: every character outside
+ *  [A-Za-z0-9_-] becomes '_'. */
+std::string checkpointBasename(std::string name);
 
 /**
- * Per-job overrides for the env-driven cell policy. The evaluation
- * matrix passes none (every cell reads GDS_CELL_BUDGET & friends once
- * per run); the simulation-service daemon builds one per request so
- * concurrent jobs can carry different budgets, sources and checkpoint
- * options without touching shared process environment.
+ * Per-call extras of one run(): telemetry, checkpointing and crash
+ * injection. None changes what is simulated, so none belongs in RunSpec
+ * or its key.
  */
-struct CellPolicy
+struct RunHooks
 {
-    /** Cycle budget; 0 falls back to cellCycleBudget(). */
-    Cycle cycleBudget = 0;
-    /** Wall budget in seconds; negative falls back to
-     *  cellWallBudgetSeconds(); 0 means "no wall limit". */
-    double wallBudgetSeconds = -1.0;
-    /** Source vertex; unset falls back to sourceFor(). */
-    std::optional<VertexId> source;
-    /** Iteration cap; unset falls back to iterationCap(). */
-    std::optional<unsigned> iterations;
-    /** Checkpoint options; null falls back to cellCheckpointOptions()
-     *  (the GDS_CHECKPOINT_DIR policy). Not owned; must outlive the run. */
-    const core::CheckpointOptions *checkpoint = nullptr;
-    /**
-     * Interval sampler to attach to the run (core::RunOptions::sampler):
-     * the simulation service uses it, with Sampler::setOnSample, to
-     * stream live progress to subscribed clients. Not owned; must
-     * outlive the run. Null leaves sampling off (the matrix default).
-     */
+    /** Interval sampler (core::RunOptions::sampler). Not owned; must
+     *  outlive the run. Null leaves sampling off. */
     obs::Sampler *sampler = nullptr;
+    /** Counter-track interval of the thread's active tracer; 0 = off. */
+    Cycle traceCounterInterval = 0;
+    /** Checkpoint options; null uses cellCheckpointOptions() (the
+     *  GDS_CHECKPOINT_DIR policy). Not owned; must outlive the run. */
+    const core::CheckpointOptions *checkpoint = nullptr;
+    /** Raise SIGKILL at this cycle (checkpoint crash tests); 0 = off. */
+    Cycle killAtCycle = 0;
+    /** Called when a cycle-level accelerator (GraphDynS, Graphicionado)
+     *  finished, with its result and statistics tree (gds_sim --stats). */
+    std::function<void(const core::RunResult &, const stats::Group &)>
+        onFinish;
 };
 
-/** Run one cell on GraphDynS (optionally an ablation variant). */
+/**
+ * Simulate @p spec on @p g: the one place that builds an accelerator for
+ * a SystemId. Budgets the spec leaves unset come from the env-driven
+ * cell policy (cellCycleBudget(), cellWallBudgetSeconds()). The record
+ * carries the effective config hash, the energy estimate and the
+ * sim/validate wall split; a watchdog verdict becomes its status.
+ */
+RunRecord run(const RunSpec &spec, const graph::Csr &g,
+              const RunHooks &hooks = {});
+
+/** The old per-job policy type: perfbench/tool.cc still names it. */
+using CellPolicy = RunSpec;
+
+/** run() on GraphDynS, kept for perfbench/tool.cc. */
 RunRecord runGds(algo::AlgorithmId algorithm, const std::string &dataset,
                  const graph::Csr &g, GdsVariant variant = GdsVariant::Full,
                  const core::GdsConfig *base = nullptr,
                  const CellPolicy *policy = nullptr);
 
-/** Run one cell on Graphicionado. */
+/** run() on Graphicionado, kept for perfbench/tool.cc. */
 RunRecord runGraphicionado(algo::AlgorithmId algorithm,
                            const std::string &dataset, const graph::Csr &g,
                            const CellPolicy *policy = nullptr);
 
-/** Run one cell on GunrockSim. */
+/** run() on GunrockSim, kept for perfbench/tool.cc. */
 RunRecord runGunrock(algo::AlgorithmId algorithm,
                      const std::string &dataset, const graph::Csr &g);
 

@@ -8,10 +8,7 @@
  * Status type so clients and tests can switch on the same code names.
  *
  * Requests:
- *   {"op":"submit","system":"gds","algorithm":"bfs","dataset":"FR",
- *    "source":3,"iterations":10,"cycle_budget":1000000,
- *    "wall_budget_seconds":2.5,"progress_interval":100000}
- *                                      (all but algorithm/dataset optional)
+ *   {"op":"submit","algorithm":"bfs","dataset":"FR",...}
  *   {"op":"poll","job":"j1"}
  *   {"op":"result","job":"j1"}
  *   {"op":"subscribe","job":"j1"}
@@ -19,20 +16,25 @@
  *   {"op":"metricsz"}
  *   {"op":"shutdown"}
  *
+ * A submit carries the members of the harness::specFields() table (the
+ * same table behind gds_sim's and gds_cli's flags): "algorithm" and
+ * "dataset" are required; "system", "source", "iterations",
+ * "cycle_budget", "wall_budget_seconds", "progress_interval", "pes",
+ * "ues" and the booleans "no_wb", "no_ep", "no_ao", "no_us" are
+ * optional. Numeric members are re-parsed from their raw lexeme (or a
+ * numeric string) by the strict common/parse.hh helpers and checked
+ * against the field's bound, so "source":-3 or "iterations":1e99 is a
+ * typed "config" rejection, never a silent wraparound; so is a GraphDynS
+ * configuration core::validateConfig refuses ("ues":3).
+ *
  * subscribe is the one streaming op: after the {"ok":true,...} ack the
  * server keeps the connection and pushes one JSON-lines progress event
  * per line ({"event":"start"|"progress"|"done",...}) until the terminal
  * "done" event, after which the connection reverts to request/response.
- *
- * Every numeric request field is re-parsed from its raw lexeme through
- * the same strict common/parse.hh helpers the CLI flags use, so
- * "source":-3 or "iterations":1e99 is a typed "config" rejection, never
- * a silent wraparound.
  */
 
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "algo/vcpm.hh"
@@ -55,42 +57,14 @@ enum class RequestOp
     Shutdown,  ///< request a graceful drain (same path as SIGTERM)
 };
 
-/** One validated simulation job request. */
-struct JobSpec
-{
-    harness::SystemId system = harness::SystemId::GraphDynS;
-    algo::AlgorithmId algorithm = algo::AlgorithmId::Bfs;
-    std::string dataset; ///< a Table 4 tag (FR..OR, RM22..RM26)
-    /** Source vertex override; unset uses the harness policy. */
-    std::optional<VertexId> source;
-    /** Iteration-cap override; unset uses the harness policy. */
-    std::optional<unsigned> iterations;
-    /** Cycle budget override; 0 uses GDS_CELL_BUDGET / default. */
-    Cycle cycleBudget = 0;
-    /** Wall budget override in seconds; negative uses the env policy. */
-    double wallBudgetSeconds = -1.0;
-    /**
-     * Simulated-cycle interval between live progress samples streamed to
-     * subscribed clients; 0 turns sampling off for this job. Pure
-     * telemetry — it never changes the simulated outcome, so it is
-     * deliberately NOT part of key().
-     */
-    Cycle progressInterval = 1'000'000;
-
-    /**
-     * Result-cache key. Extends the harness cellKey() (system tag,
-     * algorithm, dataset, scale divisor) with any overrides that change
-     * the simulated outcome, so a job with a custom source never
-     * collides with the evaluation matrix's canonical cells.
-     */
-    std::string key() const;
-};
+/** The old job-request type: perfbench/tool.cc still names it. */
+using JobSpec = harness::RunSpec;
 
 /** One parsed request line. */
 struct Request
 {
     RequestOp op = RequestOp::Statsz;
-    JobSpec spec;      ///< Submit only
+    harness::RunSpec spec; ///< Submit only
     std::string jobId; ///< Poll / Result / Subscribe only
 };
 

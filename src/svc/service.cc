@@ -16,20 +16,6 @@ namespace gds::svc
 namespace
 {
 
-/** Filesystem-safe checkpoint basename from a cache key. */
-std::string
-sanitizedBasename(const std::string &key)
-{
-    std::string base = key;
-    for (char &c : base) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_';
-        if (!ok)
-            c = '_';
-    }
-    return base;
-}
-
 /** Per-job event-ring bound: a subscriber that falls further behind
  *  resumes from the oldest retained event. ~512 events outlive any
  *  realistic poll gap while bounding a job's telemetry memory. */
@@ -195,7 +181,7 @@ SimService::doneEventLine(const Job &job)
 }
 
 Result<JobView>
-SimService::submit(const JobSpec &spec)
+SimService::submit(const harness::RunSpec &spec)
 {
     const std::string key = spec.key();
     const bool weighted =
@@ -297,7 +283,7 @@ SimService::runJob(const std::shared_ptr<Job> &job)
     }
     histQueueWait->observe(elapsedSeconds(job->submitTime, start));
 
-    const JobSpec &spec = job->spec;
+    const harness::RunSpec &spec = job->spec;
     const bool weighted =
         algo::makeAlgorithm(spec.algorithm)->usesWeights();
     // ETA horizon for progress events: the cycle budget this run will
@@ -308,22 +294,17 @@ SimService::runJob(const std::shared_ptr<Job> &job)
     harness::RunRecord record;
     TimePoint load_end = start;
     try {
-        // Per-job policy: the request's budgets and overrides, plus a
-        // per-key checkpoint so a drained job's resubmission resumes
+        // A per-key checkpoint, so a drained job's resubmission resumes
         // where the SIGTERM stopped it.
-        harness::CellPolicy policy;
-        policy.cycleBudget = spec.cycleBudget;
-        policy.wallBudgetSeconds = spec.wallBudgetSeconds;
-        policy.source = spec.source;
-        policy.iterations = spec.iterations;
+        harness::RunHooks hooks;
         core::CheckpointOptions ckpt;
         if (!config.checkpointDir.empty()) {
             ckpt.dir = config.checkpointDir;
-            ckpt.basename = sanitizedBasename(job->key);
+            ckpt.basename = harness::checkpointBasename(job->key);
             ckpt.identity = job->key;
             ckpt.resume = true;
             ckpt.interval = 100'000'000;
-            policy.checkpoint = &ckpt;
+            hooks.checkpoint = &ckpt;
         }
 
         const std::string system = harness::systemName(spec.system);
@@ -334,7 +315,7 @@ SimService::runJob(const std::shared_ptr<Job> &job)
                 load_end = std::chrono::steady_clock::now();
 
                 // A fresh sampler per attempt: its probes capture the
-                // accelerator built inside runGds/runGraphicionado, so
+                // accelerator built inside harness::run, so
                 // reusing one across runCell retries would sample a
                 // destroyed model. Always attached (interval 0 merely
                 // never fires), keeping checkpoint sampler-presence
@@ -381,21 +362,8 @@ SimService::runJob(const std::shared_ptr<Job> &job)
                     const std::lock_guard<std::mutex> lock(mu);
                     publishLocked(*job, os.str(), false);
                 });
-                policy.sampler = &sampler;
-
-                switch (spec.system) {
-                  case harness::SystemId::GraphDynS:
-                    return harness::runGds(spec.algorithm, spec.dataset,
-                                           *g, harness::GdsVariant::Full,
-                                           nullptr, &policy);
-                  case harness::SystemId::Graphicionado:
-                    return harness::runGraphicionado(
-                        spec.algorithm, spec.dataset, *g, &policy);
-                  case harness::SystemId::Gunrock:
-                    return harness::runGunrock(spec.algorithm,
-                                               spec.dataset, *g);
-                }
-                panic("bad system id");
+                hooks.sampler = &sampler;
+                return harness::run(spec, *g, hooks);
             });
         });
     } catch (const std::exception &e) {

@@ -6,7 +6,8 @@
  * common::ThreadPool, share loaded graphs through the refcounted
  * harness::DatasetPool, and are served straight from the disk-backed
  * harness::ResultCache when an identical request (same key, see
- * JobSpec::key()) already ran — in this process or a previous one.
+ * harness::RunSpec::key()) already ran — in this process or a previous
+ * one.
  *
  * Observability (the fleet-level view of a daemon):
  *  - every job's queue-wait, run and end-to-end latency is recorded into
@@ -145,7 +146,7 @@ class SimService
      * with ErrorCode::Resource when the admission queue is full or the
      * service is draining.
      */
-    Result<JobView> submit(const JobSpec &spec);
+    Result<JobView> submit(const harness::RunSpec &spec);
 
     /** Look up a job by id (ConfigError for an unknown id). */
     Result<JobView> poll(const std::string &job_id) const;
@@ -193,7 +194,7 @@ class SimService
     struct Job
     {
         std::string id;
-        JobSpec spec;
+        harness::RunSpec spec;
         std::string key;
         JobState state = JobState::Queued;
         bool cached = false;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the zero-copy dataset memory layer: the binary CSR format v2
- * (page-aligned sections, endian guard, FNV-1a-64 checksums, v1
- * fallback), common::MappedFile hardening (short maps raise typed
- * errors, never SIGBUS), the deterministic parallel graph build and
+ * (page-aligned sections, endian guard, FNV-1a-64 checksums; the retired
+ * v1 layout is refused), common::MappedFile hardening (short maps raise
+ * typed errors, never SIGBUS), the deterministic parallel graph build and
  * chunked generators (byte-identical at every job count), heap- vs
  * mmap-backed simulation bit-identity, and the DatasetPool storage
  * gauges.
@@ -308,28 +308,24 @@ TEST(FormatV2, RejectsTinyFile)
 }
 
 // ---------------------------------------------------------------------
-// v1 fallback.
+// The retired v1 layout.
 // ---------------------------------------------------------------------
 
-TEST(FormatV1, LegacyFileStillLoads)
+TEST(FormatV1, LegacyFileIsRefused)
 {
-    const ScratchFile file("v1compat");
+    const ScratchFile file("v1refused");
     writeV1(file.path(), {0, 2, 3}, {1, 0, 0}, {5, 6, 7});
-    const graph::Csr g = graph::loadBinary(file.path());
-    EXPECT_EQ(g.numVertices(), 2u);
-    EXPECT_EQ(g.numEdges(), 3u);
-    EXPECT_EQ(g.neighborArray()[0], 1u);
-    EXPECT_EQ(g.weightArray()[2], 7u);
-}
-
-TEST(FormatV1, MappedLoaderFallsBackToHeap)
-{
-    const ScratchFile file("v1mapfall");
-    writeV1(file.path(), {0, 1, 2}, {1, 0}, {});
-    const graph::Csr g = graph::loadBinaryMapped(file.path());
-    EXPECT_FALSE(g.isMapped()); // v1 has no aligned sections to map
-    EXPECT_EQ(g.numEdges(), 2u);
-    EXPECT_TRUE(g.weightArray().empty());
+    for (const bool mapped : {false, true}) {
+        try {
+            (void)(mapped ? graph::loadBinaryMapped(file.path())
+                          : graph::loadBinary(file.path()));
+            FAIL() << "a v1 file must be refused (mapped=" << mapped << ")";
+        } catch (const CorruptInputError &e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported GDSB version 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FormatV2, SavedFilesAreV2)

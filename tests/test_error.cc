@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/bitutil.hh"
 #include "common/error.hh"
 #include "span_eq.hh"
 #include "graph/generators.hh"
@@ -271,32 +273,46 @@ TEST(LoadBinary, RejectsTruncatedFile)
     EXPECT_THROW((void)graph::loadBinary(file.path()), CorruptInputError);
 }
 
-TEST(LoadBinary, RejectsOversizedLengthField)
-{
-    // A header whose offset-array length claims more data than the file
-    // holds must fail before any giant allocation is attempted.
-    const ScratchFile file("oversized.bin");
-    std::ofstream out(file.path(), std::ios::binary);
-    writePod(out, gdsbMagic);
-    writePod<std::uint32_t>(out, 1);
-    writePod<std::uint64_t>(out, ~0ULL); // offset count
-    out.close();
-    EXPECT_THROW((void)graph::loadBinary(file.path()), CorruptInputError);
-}
-
 TEST(LoadBinary, RejectsCorruptedContents)
 {
-    // Structurally valid file whose arrays break the CSR invariants
-    // (destination 9 with only two vertices).
+    // A v2 file whose checksums are valid but whose arrays break the CSR
+    // invariants (destination 9 with only two vertices): the checksums
+    // vouch for the bytes, the array validation must still refuse them.
     const ScratchFile file("corrupt.bin");
-    writeGdsb(file.path(), gdsbMagic, 1, {0, 1, 2}, {1, 9}, {});
+    graph::saveBinaryAtomic(
+        graph::Csr(std::vector<EdgeId>{0, 1, 2}, std::vector<VertexId>{1, 0},
+                   std::vector<Weight>{}),
+        file.path());
+    std::vector<char> bytes(fs::file_size(file.path()));
+    std::ifstream(file.path(), std::ios::binary)
+        .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    const auto u64_at = [&](std::size_t offset) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + offset, sizeof(v));
+        return v;
+    };
+    const auto put_u64 = [&](std::size_t offset, std::uint64_t v) {
+        std::memcpy(bytes.data() + offset, &v, sizeof(v));
+    };
+    // v2 header: the neighbor section descriptor {offset, length,
+    // checksum} sits at byte 64, the header checksum of [0, 112) at 112.
+    const std::uint64_t neighbors = u64_at(64);
+    const VertexId bad = 9;
+    std::memcpy(bytes.data() + neighbors + sizeof(VertexId), &bad,
+                sizeof(bad));
+    put_u64(80, fnv1a64(bytes.data() + neighbors, u64_at(72)));
+    put_u64(112, fnv1a64(bytes.data(), 112));
+    std::ofstream(file.path(), std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
     try {
         (void)graph::loadBinary(file.path());
         FAIL() << "expected CorruptInputError";
     } catch (const CorruptInputError &e) {
         EXPECT_EQ(e.path(), file.path());
         EXPECT_NE(std::string(e.what()).find("edge destination"),
-                  std::string::npos);
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -10,7 +10,10 @@
  * fast-forward equivalence suite proves ff == naive within one build;
  * this file pins the absolute numbers across builds, so a speed-up or
  * refactor that drifts a single simulated cycle, HBM row hit or crossbar
- * conflict fails here. GoldenCyclesGate proves the gate itself bites: an
+ * conflict fails here, and the fast-forward counters (stepped vs skipped
+ * cycles, skip windows) pin that idle stretches are still skipped — the
+ * equivalence suite cannot see a change that stops skipping, as the
+ * cycles stay exact. GoldenCyclesGate proves the gate itself bites: an
  * HBM CAS latency one cycle longer must mismatch for both accelerators.
  *
  * Changing the golden file on purpose is a model change and needs a
@@ -87,18 +90,25 @@ struct GoldenValues
     std::uint64_t requests = 0;
     std::uint64_t conflicts = 0; ///< crossbar; 0 for Graphicionado
     std::uint64_t propertyChecksum = 0;
+    /** Fast-forward efficiency: a change that silently stops skipping
+     *  idle stretches keeps every cycle count but moves these. */
+    std::uint64_t steppedCycles = 0;
+    std::uint64_t skippedCycles = 0;
+    std::uint64_t skipWindows = 0;
 };
 
 const char *const kFields[] = {
     "simCycles", "iterations", "memoryBytes", "hbm.occupancySum",
     "hbm.rowHits", "hbm.requests", "crossbar.conflicts",
-    "propertyChecksum"};
+    "propertyChecksum", "steppedCycles", "skippedCycles", "skipWindows"};
 
 std::vector<std::uint64_t>
 asList(const GoldenValues &v)
 {
-    return {v.simCycles, v.iterations,  v.memoryBytes, v.occupancySum,
-            v.rowHits,   v.requests,    v.conflicts,   v.propertyChecksum};
+    return {v.simCycles,     v.iterations,    v.memoryBytes,
+            v.occupancySum,  v.rowHits,       v.requests,
+            v.conflicts,     v.propertyChecksum, v.steppedCycles,
+            v.skippedCycles, v.skipWindows};
 }
 
 graph::Csr
@@ -146,6 +156,9 @@ runCell(const GoldenCell &cell, Config cfg, bool has_crossbar,
         v.conflicts = counter(accel.statsGroup(), "crossbar.conflicts");
     v.propertyChecksum =
         fnv1a64(r.properties.data(), r.properties.size() * sizeof(PropValue));
+    v.steppedCycles = r.report.steppedCycles;
+    v.skippedCycles = r.report.skippedCycles;
+    v.skipWindows = r.report.skipWindows;
     return v;
 }
 

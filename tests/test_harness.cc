@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment harness: variant configuration mapping,
  * iteration/source policies, the disk-backed result cache (round-trip,
- * persistence across instances), dataset caching, geometric means and
- * table formatting.
+ * persistence across instances), dataset caching, geometric means,
+ * table formatting, RunSpec keys, the run-spec field table shared by
+ * gds_sim, gds_cli and the daemon, and harness::run's hooks.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +12,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/jsonio.hh"
 #include "graph/generators.hh"
 #include "span_eq.hh"
 #include "harness/experiment.hh"
+#include "harness/manifest.hh"
 
 namespace gds::harness
 {
@@ -341,6 +346,245 @@ TEST_F(HarnessTest, CacheRefusesDelimiterAndControlCharacterFields)
     // The refused stores left no trace, in memory or on disk.
     EXPECT_FALSE(cache.lookup("k").has_value());
     EXPECT_FALSE(std::filesystem::exists("gds_bench_cache_v1.csv"));
+}
+
+// ---------------------------------------------------------------------
+// RunSpec and its field table.
+// ---------------------------------------------------------------------
+
+TEST(RunSpecKey, PlainSpecKeyIsTheCellKeyForEverySystem)
+{
+    for (const SystemId sys : {SystemId::GraphDynS, SystemId::Graphicionado,
+                               SystemId::Gunrock}) {
+        EXPECT_EQ(RunSpec(sys, algo::AlgorithmId::Pr, "LJ").key(),
+                  cellKey(systemTag(sys), algo::AlgorithmId::Pr, "LJ"))
+            << systemName(sys);
+    }
+}
+
+TEST(RunSpecKey, GdsKnobsAndVariantsExtendOnlyGraphDynSKeys)
+{
+    const RunSpec plain(SystemId::GraphDynS, algo::AlgorithmId::Pr, "LJ");
+    RunSpec ues = plain;
+    ues.gds.numUes = 64;
+    RunSpec bandwidth = plain;
+    bandwidth.gds.hbm.numChannels = 16;
+    RunSpec wb = plain;
+    wb.variant = GdsVariant::Wb;
+    RunSpec no_wb = plain;
+    no_wb.gds.workloadBalance = false;
+    const std::vector<std::string> keys{plain.key(), ues.key(),
+                                        bandwidth.key(), wb.key(),
+                                        no_wb.key()};
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        for (std::size_t j = i + 1; j < keys.size(); ++j)
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+    EXPECT_EQ(keys[3], plain.key() + "|WB");
+
+    // The spec's iteration cap governs, whatever gds.maxIterations holds.
+    RunSpec capped = plain;
+    capped.gds.maxIterations = 3;
+    EXPECT_EQ(capped.key(), plain.key());
+    EXPECT_EQ(capped.gdsConfig().maxIterations, iterationCap(plain.algorithm));
+
+    // Other systems ignore the GraphDynS knobs, so their keys do too.
+    RunSpec gi(SystemId::Graphicionado, algo::AlgorithmId::Pr, "LJ");
+    const std::string gi_key = gi.key();
+    gi.gds.numUes = 64;
+    gi.variant = GdsVariant::Wb;
+    EXPECT_EQ(gi.key(), gi_key);
+}
+
+SpecValues
+flagValues(
+    const std::vector<std::pair<std::string, std::string>> &flags)
+{
+    SpecValues values;
+    for (const auto &[flag, text] : flags) {
+        const SpecField *f = specFieldByFlag(flag);
+        EXPECT_NE(f, nullptr) << flag;
+        if (f)
+            values[f] = text;
+    }
+    return values;
+}
+
+Result<RunSpec>
+requestSpec(const std::string &json)
+{
+    auto doc = common::parseJson(json);
+    EXPECT_TRUE(doc.ok()) << json;
+    auto values = specValuesFromJson(doc.value());
+    if (!values.ok())
+        return values.status();
+    return parseSpec(values.value(), /*cli=*/false);
+}
+
+TEST(SpecFields, CommandLineAndRequestSpellingsBuildTheSameSpec)
+{
+    const auto cli = parseSpec(flagValues({{"--algo", "pr"},
+                                           {"--dataset", "LJ"},
+                                           {"--system", "gds"},
+                                           {"--iters", "3"},
+                                           {"--pes", "64"},
+                                           {"--ues", "64"},
+                                           {"--no-wb", ""},
+                                           {"--no-us", ""}}),
+                               /*cli=*/true);
+    const auto req = requestSpec(
+        R"({"algorithm":"pr","dataset":"LJ","system":"gds",)"
+        R"("iterations":"3","pes":64,"ues":64,"no_wb":true,)"
+        R"("no_ep":false,"no_us":true})");
+    ASSERT_TRUE(cli.ok()) << cli.status().toString();
+    ASSERT_TRUE(req.ok()) << req.status().toString();
+    EXPECT_EQ(cli.value().key(), req.value().key());
+    EXPECT_EQ(configHash(cli.value().gdsConfig()),
+              configHash(req.value().gdsConfig()));
+    const core::GdsConfig cfg = cli.value().gdsConfig();
+    EXPECT_EQ(cfg.numPes, 64u);
+    EXPECT_EQ(cfg.numDispatchers, 64u);
+    EXPECT_EQ(cfg.numUes, 64u);
+    EXPECT_EQ(cfg.maxIterations, 3u);
+    EXPECT_FALSE(cfg.workloadBalance);
+    EXPECT_TRUE(cfg.exactPrefetch);
+    EXPECT_FALSE(cfg.updateScheduling);
+}
+
+TEST(SpecFields, EveryFieldIsSpelledOnceInEachForm)
+{
+    std::set<std::string> flags;
+    std::set<std::string> names;
+    for (const SpecField &f : specFields()) {
+        EXPECT_EQ(std::string(f.flag).rfind("--", 0), 0u) << f.flag;
+        EXPECT_TRUE(flags.insert(f.flag).second) << f.flag;
+        EXPECT_TRUE(names.insert(f.json).second) << f.json;
+        EXPECT_EQ(specFieldByFlag(f.flag), &f);
+    }
+    EXPECT_EQ(specFieldByFlag("--graph"), nullptr);
+}
+
+TEST(SpecFields, ChecksEveryBoundInBothSpellings)
+{
+    // The iteration cap takes the stricter of the two historical
+    // bounds: 1..1e6, whichever entry point parses it.
+    const auto at = [](const char *iters) {
+        return flagValues(
+            {{"--algo", "bfs"}, {"--dataset", "FR"}, {"--iters", iters}});
+    };
+    EXPECT_TRUE(parseSpec(at("1000000"), true).ok());
+    for (const char *bad : {"0", "1000001", "-1", "1e3", "12x"}) {
+        const auto r = parseSpec(at(bad), true);
+        ASSERT_FALSE(r.ok()) << bad;
+        EXPECT_EQ(r.status().code(), ErrorCode::Config);
+        EXPECT_NE(r.status().message().find("--iters"), std::string::npos)
+            << r.status().message();
+    }
+    const auto json = requestSpec(
+        R"({"algorithm":"bfs","dataset":"FR","iterations":1000001})");
+    ASSERT_FALSE(json.ok());
+    EXPECT_NE(json.status().message().find("field 'iterations'"),
+              std::string::npos)
+        << json.status().message();
+
+    for (const char *bad_request : {
+             R"({"dataset":"FR"})",
+             R"({"algorithm":"bfs"})",
+             R"({"algorithm":"bfs","dataset":"NOPE"})",
+             R"({"algorithm":"bfs","dataset":"FR","system":"all"})",
+             R"({"algorithm":"bfs","dataset":"FR","no_wb":"yes"})",
+             R"({"algorithm":"bfs","dataset":"FR","ues":0})",
+             R"({"algorithm":"bfs","dataset":"FR","wall_budget_seconds":-1})",
+         }) {
+        const auto r = requestSpec(bad_request);
+        ASSERT_FALSE(r.ok()) << bad_request;
+        EXPECT_EQ(r.status().code(), ErrorCode::Config) << bad_request;
+    }
+}
+
+TEST(SpecFields, NonPowerOfTwoUesIsATypedConfigError)
+{
+    const auto r = parseSpec(flagValues({{"--algo", "pr"},
+                                         {"--dataset", "FR"},
+                                         {"--ues", "48"}}),
+                             /*cli=*/true);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::Config);
+    EXPECT_NE(r.status().message().find("numUes"), std::string::npos)
+        << r.status().message();
+}
+
+TEST(SpecFields, DatasetIsOptionalOnlyWhenTheCallerSaysSo)
+{
+    const SpecValues values = flagValues({{"--algo", "sssp"}});
+    const auto strict = parseSpec(values, /*cli=*/true);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_NE(strict.status().message().find("missing --dataset"),
+              std::string::npos)
+        << strict.status().message();
+    const auto loose = parseSpec(values, /*cli=*/true,
+                                 /*need_dataset=*/false);
+    ASSERT_TRUE(loose.ok());
+    EXPECT_EQ(loose.value().algorithm, algo::AlgorithmId::Sssp);
+    EXPECT_TRUE(loose.value().dataset.empty());
+}
+
+TEST(SpecFields, RequestMembersRoundTripThroughTheDaemonParser)
+{
+    const SpecValues values = flagValues({{"--algo", "cc"},
+                                          {"--dataset", "PK"},
+                                          {"--system", "graphicionado"},
+                                          {"--source", "7"},
+                                          {"--wall-budget", "1.5"},
+                                          {"--no-ao", ""}});
+    const auto cli = parseSpec(values, /*cli=*/true);
+    const auto req = requestSpec("{\"op\":\"submit\"" +
+                                 specJsonMembers(values) + "}");
+    ASSERT_TRUE(cli.ok()) << cli.status().toString();
+    ASSERT_TRUE(req.ok()) << req.status().toString();
+    EXPECT_EQ(req.value().key(), cli.value().key());
+    EXPECT_EQ(req.value().system, SystemId::Graphicionado);
+    EXPECT_EQ(req.value().source, std::optional<VertexId>(7));
+    EXPECT_DOUBLE_EQ(req.value().wallBudgetSeconds, 1.5);
+    EXPECT_FALSE(req.value().gds.zeroStallAtomics);
+}
+
+TEST_F(HarnessTest, RunHonoursGunrockSourceAndIterations)
+{
+    const auto g = graph::powerLaw(800, 6400, 0.6, 7, false);
+    RunSpec spec(SystemId::Gunrock, algo::AlgorithmId::Pr, "toy");
+    spec.iterations = 3;
+    EXPECT_EQ(run(spec, g).iterations, 3u);
+    EXPECT_EQ(run(RunSpec(SystemId::Gunrock, algo::AlgorithmId::Pr, "toy"),
+                  g)
+                  .iterations,
+              iterationCap(algo::AlgorithmId::Pr));
+}
+
+TEST_F(HarnessTest, RunHooksSeeTheAcceleratorStats)
+{
+    const auto g = graph::powerLaw(500, 4000, 0.6, 6, false);
+    for (const SystemId sys : {SystemId::GraphDynS, SystemId::Graphicionado,
+                               SystemId::Gunrock}) {
+        RunHooks hooks;
+        Cycle cycles = 0;
+        std::ostringstream stats_text;
+        hooks.onFinish = [&](const core::RunResult &result,
+                             const stats::Group &group) {
+            cycles = result.cycles;
+            group.dump(stats_text);
+        };
+        const RunRecord r =
+            run(RunSpec(sys, algo::AlgorithmId::Bfs, "toy"), g, hooks);
+        ASSERT_TRUE(r.ok()) << systemName(sys);
+        if (sys == SystemId::Gunrock) {
+            // Not a cycle-level model: no stats tree to show.
+            EXPECT_EQ(cycles, 0u);
+            continue;
+        }
+        EXPECT_DOUBLE_EQ(static_cast<double>(cycles) * 1e-9, r.seconds);
+        EXPECT_NE(stats_text.str().find("hbm."), std::string::npos)
+            << systemName(sys);
+    }
 }
 
 } // namespace

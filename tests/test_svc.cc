@@ -27,9 +27,11 @@
 #include "common/parallel.hh"
 #include "common/parse.hh"
 #include "common/socket.hh"
+#include "baseline/gunrock_sim.hh"
 #include "core/gds_accel.hh"
 #include "graph/generators.hh"
 #include "harness/experiment.hh"
+#include "harness/manifest.hh"
 #include "sim/simulator.hh"
 #include "svc/server.hh"
 #include "svc/service.hh"
@@ -73,10 +75,10 @@ class SvcTest : public ::testing::Test
     std::filesystem::path scratch;
 };
 
-svc::JobSpec
+harness::RunSpec
 bfsSpec(const std::string &dataset = "FR")
 {
-    svc::JobSpec spec;
+    harness::RunSpec spec;
     spec.system = harness::SystemId::GraphDynS;
     spec.algorithm = algo::AlgorithmId::Bfs;
     spec.dataset = dataset;
@@ -114,7 +116,7 @@ TEST(SvcProtocol, ParsesFullSubmit)
         R"("dataset":"PK","source":7,"iterations":3,"cycle_budget":1000,)"
         R"("wall_budget_seconds":1.5})");
     ASSERT_TRUE(req.ok()) << req.status().toString();
-    const svc::JobSpec &spec = req.value().spec;
+    const harness::RunSpec &spec = req.value().spec;
     EXPECT_EQ(req.value().op, svc::RequestOp::Submit);
     EXPECT_EQ(spec.system, harness::SystemId::Graphicionado);
     EXPECT_EQ(spec.algorithm, algo::AlgorithmId::Sssp);
@@ -129,8 +131,8 @@ TEST(SvcProtocol, ParsesFullSubmit)
 
 TEST(SvcProtocol, KeyExtendsOnlyForOverrides)
 {
-    svc::JobSpec plain = bfsSpec();
-    svc::JobSpec custom = bfsSpec();
+    harness::RunSpec plain = bfsSpec();
+    harness::RunSpec custom = bfsSpec();
     custom.source = 5;
     custom.iterations = 2;
     EXPECT_NE(plain.key(), custom.key());
@@ -159,6 +161,10 @@ TEST(SvcProtocol, RejectsMalformedRequests)
              R"("iterations":0})",
              R"({"op":"submit","algorithm":"bfs","dataset":"FR",)"
              R"("source":99999999999999999999999})",
+             R"({"op":"submit","algorithm":"bfs","dataset":"FR",)"
+             R"("iterations":1000001})",
+             R"({"op":"submit","algorithm":"bfs","dataset":"FR","ues":3})",
+             R"({"op":"submit","algorithm":"bfs","dataset":"FR","no_wb":1})",
              R"({"op":"poll"})",
              R"({"op":"result","job":""})",
          }) {
@@ -171,6 +177,75 @@ TEST(SvcProtocol, RejectsMalformedRequests)
 // ---------------------------------------------------------------------
 // Service lifecycle.
 // ---------------------------------------------------------------------
+
+/** Submit one request line to @p service and wait for its record. */
+harness::RunRecord
+submitAndAwait(svc::SimService &service, const std::string &line)
+{
+    auto req = svc::parseRequest(line);
+    EXPECT_TRUE(req.ok()) << req.status().toString();
+    auto view = service.submit(req.value().spec);
+    EXPECT_TRUE(view.ok()) << view.status().toString();
+    return awaitJob(service, view.value().id).record;
+}
+
+TEST_F(SvcTest, DaemonSubmitAndCliFlagsShareConfigHash)
+{
+    svc::SimService service(svc::ServiceConfig{});
+    const harness::RunRecord daemon = submitAndAwait(
+        service, R"({"op":"submit","algorithm":"bfs","dataset":"FR",)"
+                 R"("ues":64,"no_wb":true})");
+    ASSERT_EQ(daemon.status, "ok");
+
+    // gds_sim's argv loop feeds the same table with these flags.
+    harness::SpecValues flags;
+    for (const auto &[flag, text] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"--algo", "bfs"}, {"--dataset", "FR"}, {"--ues", "64"},
+             {"--no-wb", ""}})
+        flags[harness::specFieldByFlag(flag)] = text;
+    const auto cli = harness::parseSpec(flags, /*cli=*/true);
+    ASSERT_TRUE(cli.ok()) << cli.status().toString();
+    const harness::RunRecord direct =
+        harness::run(cli.value(), harness::loadDataset("FR", false));
+    EXPECT_EQ(direct.configHash, daemon.configHash);
+    EXPECT_NE(daemon.configHash,
+              harness::configHash(
+                  harness::RunSpec(harness::SystemId::GraphDynS,
+                                   algo::AlgorithmId::Bfs, "FR")
+                      .gdsConfig()));
+    EXPECT_EQ(direct.seconds, daemon.seconds);
+}
+
+TEST_F(SvcTest, GunrockJobsHonourSourceAndIterations)
+{
+    svc::SimService service(svc::ServiceConfig{});
+    const graph::Csr g = harness::loadDataset("FR", false);
+
+    const harness::RunRecord sourced = submitAndAwait(
+        service, R"({"op":"submit","system":"gunrock","algorithm":"bfs",)"
+                 R"("dataset":"FR","source":5})");
+    ASSERT_EQ(sourced.status, "ok");
+    baseline::GunrockConfig cfg;
+    cfg.maxIterations = harness::iterationCap(algo::AlgorithmId::Bfs);
+    const auto bfs = algo::makeAlgorithm(algo::AlgorithmId::Bfs);
+    const baseline::GunrockResult want =
+        baseline::GunrockSim(cfg, g, *bfs).run(5);
+    EXPECT_EQ(sourced.seconds, want.seconds);
+    EXPECT_EQ(sourced.iterations, want.iterations);
+    EXPECT_EQ(sourced.edgesProcessed,
+              static_cast<double>(want.edgesProcessed));
+    const harness::RunRecord plain = harness::run(
+        {harness::SystemId::Gunrock, algo::AlgorithmId::Bfs, "FR"}, g);
+    EXPECT_NE(harness::sourceFor(algo::AlgorithmId::Bfs, g), 5u);
+    EXPECT_NE(sourced.seconds, plain.seconds) << sourced.iterations << " " << plain.iterations;
+
+    const harness::RunRecord capped = submitAndAwait(
+        service, R"({"op":"submit","system":"gunrock","algorithm":"pr",)"
+                 R"("dataset":"FR","iterations":3})");
+    ASSERT_EQ(capped.status, "ok");
+    EXPECT_EQ(capped.iterations, 3u);
+}
 
 TEST_F(SvcTest, SubmitRunsJobAndServesRepeatFromCache)
 {
@@ -238,7 +313,7 @@ TEST_F(SvcTest, AdmissionQueueBoundsAndDrainCheckpointsInFlightJobs)
         // orders of magnitude slower than the drain that interrupts it,
         // yet short enough that the resumed run below completes under
         // TSan within awaitJob's bound.
-        svc::JobSpec slow = bfsSpec();
+        harness::RunSpec slow = bfsSpec();
         slow.algorithm = algo::AlgorithmId::Pr;
         slow.iterations = 300;
         auto admitted = service.submit(slow);
@@ -280,7 +355,7 @@ TEST_F(SvcTest, AdmissionQueueBoundsAndDrainCheckpointsInFlightJobs)
     config.maxQueue = 1;
     config.checkpointDir = ckpt_dir;
     svc::SimService service(config);
-    svc::JobSpec slow = bfsSpec();
+    harness::RunSpec slow = bfsSpec();
     slow.algorithm = algo::AlgorithmId::Pr;
     slow.iterations = 300;
     auto resumed = service.submit(slow);
@@ -570,7 +645,7 @@ TEST_F(SvcTest, ProgressSinceStreamsLifecycleEvents)
     EXPECT_EQ(service.progressSince("j404", 0, 10).status().code(),
               ErrorCode::Config);
 
-    svc::JobSpec spec = bfsSpec();
+    harness::RunSpec spec = bfsSpec();
     spec.progressInterval = 100; // tiny FR runs a few thousand cycles
     auto admitted = service.submit(spec);
     ASSERT_TRUE(admitted.ok()) << admitted.status().toString();

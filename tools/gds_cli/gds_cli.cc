@@ -9,7 +9,8 @@
  *   gds_cli [--socket PATH] submit --algo bfs --dataset FR
  *           [--system gds|graphicionado|gunrock] [--source VID]
  *           [--iters N] [--cycle-budget N] [--wall-budget SECONDS]
- *           [--progress-interval CYCLES]
+ *           [--progress-interval CYCLES] [--pes N] [--ues N]
+ *           [--no-wb] [--no-ep] [--no-ao] [--no-us]
  *   gds_cli [--socket PATH] poll JOB
  *   gds_cli [--socket PATH] result JOB
  *   gds_cli [--socket PATH] wait JOB [--timeout SECONDS]
@@ -27,10 +28,11 @@
  * the terminal "done" event; exit status follows the job's final state.
  * metricsz prints the daemon's Prometheus text exposition verbatim.
  *
- * Numeric flags go through the same checked parser as gds_sim's flags
- * and the daemon's own request fields: trailing garbage, signs and
- * overflow are rejected with a message + usage, never an uncaught
- * exception.
+ * submit's flags are the harness::specFields() table shared with
+ * gds_sim and the daemon: they are checked here by the daemon's own
+ * parser (harness::parseSpec), so trailing garbage, signs, overflow, an
+ * unknown name or a non-power-of-two --ues is rejected with a message +
+ * usage before anything is sent.
  */
 
 #include <chrono>
@@ -45,6 +47,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/socket.hh"
+#include "harness/run_spec.hh"
 
 using namespace gds;
 
@@ -59,7 +62,8 @@ usage()
         "  submit --algo bfs|sssp|cc|sswp|pr --dataset NAME\n"
         "         [--system gds|graphicionado|gunrock] [--source VID]\n"
         "         [--iters N] [--cycle-budget N] [--wall-budget SEC]\n"
-        "         [--progress-interval CYCLES]\n"
+        "         [--progress-interval CYCLES] [--pes N] [--ues N]\n"
+        "         [--no-wb] [--no-ep] [--no-ao] [--no-us]\n"
         "  poll JOB | result JOB | wait JOB [--timeout SEC]\n"
         "  watch JOB [--timeout SEC]\n"
         "  statsz | metricsz | shutdown");
@@ -108,17 +112,7 @@ struct Cli
     std::string socketPath = "gds_simd.sock";
     std::string command;
     std::string job;
-    // Submit fields. Only numeric shape is validated client-side; the
-    // daemon re-validates names and ranges and answers with a typed
-    // error line.
-    std::string algo;
-    std::string dataset;
-    std::string system;
-    std::optional<std::uint64_t> source;
-    std::optional<std::uint64_t> iters;
-    std::optional<std::uint64_t> cycleBudget;
-    std::optional<double> wallBudget;
-    std::optional<std::uint64_t> progressInterval;
+    harness::SpecValues fields; ///< submit's run-spec flags
     double waitTimeoutSeconds = 300.0;
 };
 
@@ -143,29 +137,15 @@ parseArgs(int argc, char **argv)
                 usage();
             return argv[++i];
         };
-        auto need_u64 = [&]() {
-            return common::requireU64(arg, need_value());
-        };
+        const harness::SpecField *field = harness::specFieldByFlag(arg);
         if (arg == "--socket")
             cli.socketPath = need_value();
-        else if (arg == "--algo")
-            cli.algo = need_value();
-        else if (arg == "--dataset")
-            cli.dataset = need_value();
-        else if (arg == "--system")
-            cli.system = need_value();
-        else if (arg == "--source")
-            cli.source = need_u64();
-        else if (arg == "--iters")
-            cli.iters = need_u64();
-        else if (arg == "--cycle-budget")
-            cli.cycleBudget = need_u64();
-        else if (arg == "--wall-budget")
-            cli.wallBudget = common::requireF64(arg, need_value());
-        else if (arg == "--progress-interval")
-            cli.progressInterval = need_u64();
         else if (arg == "--timeout")
             cli.waitTimeoutSeconds = common::requireF64(arg, need_value());
+        else if (field && field->kind != harness::SpecField::Kind::Switch)
+            cli.fields[field] = need_value();
+        else if (field && !inline_value)
+            cli.fields[field] = "";
         else if (arg.rfind("--", 0) == 0)
             usage();
         else if (cli.command.empty())
@@ -195,38 +175,13 @@ std::string
 buildRequest(const Cli &cli)
 {
     if (cli.command == "submit") {
-        if (cli.algo.empty() || cli.dataset.empty())
-            fatal("submit needs --algo and --dataset");
-        std::string req = "{\"op\":\"submit\",\"algorithm\":";
-        req += common::jsonQuote(cli.algo);
-        req += ",\"dataset\":";
-        req += common::jsonQuote(cli.dataset);
-        if (!cli.system.empty()) {
-            req += ",\"system\":";
-            req += common::jsonQuote(cli.system);
+        auto spec = harness::parseSpec(cli.fields, /*cli=*/true);
+        if (!spec.ok()) {
+            log::warnf("cli", {}, "%s", spec.status().message().c_str());
+            usage();
         }
-        if (cli.source) {
-            req += ",\"source\":";
-            req += std::to_string(*cli.source);
-        }
-        if (cli.iters) {
-            req += ",\"iterations\":";
-            req += std::to_string(*cli.iters);
-        }
-        if (cli.cycleBudget) {
-            req += ",\"cycle_budget\":";
-            req += std::to_string(*cli.cycleBudget);
-        }
-        if (cli.wallBudget) {
-            req += ",\"wall_budget_seconds\":";
-            req += std::to_string(*cli.wallBudget);
-        }
-        if (cli.progressInterval) {
-            req += ",\"progress_interval\":";
-            req += std::to_string(*cli.progressInterval);
-        }
-        req += '}';
-        return req;
+        return "{\"op\":\"submit\"" + harness::specJsonMembers(cli.fields) +
+               "}";
     }
     if (cli.command == "poll" || cli.command == "result") {
         if (cli.job.empty())
