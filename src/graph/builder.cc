@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/bitutil.hh"
@@ -60,7 +61,7 @@ chunkCount(std::size_t num_edges, VertexId num_vertices, unsigned jobs)
 /** Classic serial counting sort with 64-bit cursors, for edge lists too
  *  large for the chunked path's 32-bit scatter cursors. */
 Csr
-buildCsrSerialWide(VertexId num_vertices, const std::vector<CooEdge> &edges,
+buildCsrSerialWide(VertexId num_vertices, std::span<const CooEdge> edges,
                    bool keep_weights)
 {
     std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1,
@@ -169,11 +170,11 @@ dedupePerVertex(VertexId num_vertices, std::vector<EdgeId> offsets,
                std::move(new_weights));
 }
 
-} // namespace
-
+/** buildCsr() for either edge-list container; consumes @p edges. */
+template <typename EdgeList>
 Csr
-buildCsr(VertexId num_vertices, std::vector<CooEdge> edges,
-         const BuildOptions &opts)
+buildFromEdges(VertexId num_vertices, EdgeList &edges,
+               const BuildOptions &opts)
 {
     if (opts.removeSelfLoops) {
         std::erase_if(edges,
@@ -284,6 +285,22 @@ buildCsr(VertexId num_vertices, std::vector<CooEdge> edges,
     return dedupePerVertex(num_vertices, std::move(offsets),
                            std::move(neighbors), std::move(weights),
                            opts.keepWeights, opts.jobs);
+}
+
+} // namespace
+
+Csr
+buildCsr(VertexId num_vertices, std::vector<CooEdge> edges,
+         const BuildOptions &opts)
+{
+    return buildFromEdges(num_vertices, edges, opts);
+}
+
+Csr
+buildCsrFromBuffer(VertexId num_vertices, CooBuffer edges,
+                   const BuildOptions &opts)
+{
+    return buildFromEdges(num_vertices, edges, opts);
 }
 
 } // namespace gds::graph

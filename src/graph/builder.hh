@@ -13,6 +13,8 @@
 
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hh"
@@ -27,6 +29,42 @@ struct CooEdge
     VertexId dst;
     Weight weight = 1;
 };
+
+/**
+ * std::allocator whose value-initialisation is a no-op: `vector(n)` and
+ * `resize(n)` allocate without writing a byte, so the first write to
+ * each page is the owner's own (typically parallel) fill. Only for
+ * element types every slot of which is assigned before it is read.
+ */
+template <typename T>
+struct NoInitAllocator : std::allocator<T>
+{
+    NoInitAllocator() = default;
+    template <typename U>
+    NoInitAllocator(const NoInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        std::construct_at(p, std::forward<Args>(args)...);
+    }
+};
+
+/**
+ * A generator-sized edge list. Unlike std::vector<CooEdge>(n), which
+ * value-initialises all n edges on the calling thread, CooBuffer(n)
+ * leaves its pages untouched for a chunked parallel fill to write first.
+ */
+using CooBuffer = std::vector<CooEdge, NoInitAllocator<CooEdge>>;
 
 /** Options controlling COO→CSR conversion. */
 struct BuildOptions
@@ -56,5 +94,9 @@ struct BuildOptions
  */
 Csr buildCsr(VertexId num_vertices, std::vector<CooEdge> edges,
              const BuildOptions &opts = {});
+
+/** buildCsr() over a generator's CooBuffer; the same conversion. */
+Csr buildCsrFromBuffer(VertexId num_vertices, CooBuffer edges,
+                       const BuildOptions &opts = {});
 
 } // namespace gds::graph

@@ -17,30 +17,47 @@ namespace gds::graph
 namespace
 {
 
-/** Deterministic id scramble (bijective) so degree does not follow id. */
-VertexId
-scramble(VertexId v, VertexId num_vertices, std::uint64_t salt)
+/**
+ * Deterministic id scramble (bijective) so degree does not follow id.
+ *
+ * Two rounds of an invertible mix restricted to the smallest power-of-
+ * two domain covering [0, num_vertices); when num_vertices is not a
+ * power of two, out-of-range results are cycle-walked back into range.
+ * The domain width, mask and shift depend only on the graph, so they
+ * are derived once per graph; operator() is on the per-edge path.
+ */
+class Scrambler
 {
-    // Feistel-free multiplicative hash, folded into range by rejection-free
-    // modulo against a fixed permutation-sized domain: we permute within
-    // [0, num_vertices) using the "multiply by odd constant modulo 2^k,
-    // then rank" approach. Simpler and fully bijective: when num_vertices
-    // is not a power of two, use a cycle-walking Feistel over the next
-    // power of two.
-    std::uint64_t bits = 1;
-    while ((1ULL << bits) < num_vertices)
-        ++bits;
-    const std::uint64_t mask = (1ULL << bits) - 1;
-    std::uint64_t x = v;
-    do {
-        // Two rounds of an invertible mix restricted to 'bits' bits.
-        x = (x * 0x9e3779b97f4a7c15ULL + salt) & mask;
-        x ^= x >> (bits / 2 + 1);
-        x = (x * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL) & mask;
-        x ^= x >> (bits / 2 + 1);
-    } while (x >= num_vertices);
-    return static_cast<VertexId>(x);
-}
+  public:
+    Scrambler(VertexId num_vertices, std::uint64_t mix_salt)
+        : limit(num_vertices), salt(mix_salt)
+    {
+        std::uint64_t bits = 1;
+        while ((1ULL << bits) < num_vertices)
+            ++bits;
+        mask = (1ULL << bits) - 1;
+        shift = bits / 2 + 1;
+    }
+
+    VertexId
+    operator()(VertexId v) const
+    {
+        std::uint64_t x = v;
+        do {
+            x = (x * 0x9e3779b97f4a7c15ULL + salt) & mask;
+            x ^= x >> shift;
+            x = (x * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL) & mask;
+            x ^= x >> shift;
+        } while (x >= limit);
+        return static_cast<VertexId>(x);
+    }
+
+  private:
+    std::uint64_t limit;
+    std::uint64_t salt;
+    std::uint64_t mask;
+    std::uint64_t shift;
+};
 
 /**
  * Edges per generator chunk. Fixed (never derived from the job count) so
@@ -60,13 +77,15 @@ chunkSeed(std::uint64_t seed, std::size_t chunk)
 }
 
 /**
- * Fill @p edges by running @p fill(rng, e) for every edge index, in
- * fixed-size chunks each with its own counter-seeded Rng.
+ * Fill @p edges by running @p fill(rng) for every edge index, in
+ * fixed-size chunks each with its own counter-seeded Rng. Every slot is
+ * written exactly once, which is what lets a CooBuffer leave its pages
+ * untouched until this parallel fill.
  */
 template <typename FillFn>
 void
-generateChunked(std::vector<CooEdge> &edges, std::uint64_t seed,
-                unsigned jobs, const FillFn &fill)
+generateChunked(CooBuffer &edges, std::uint64_t seed, unsigned jobs,
+                const FillFn &fill)
 {
     const std::size_t num_edges = edges.size();
     const std::size_t chunks =
@@ -84,52 +103,67 @@ generateChunked(std::vector<CooEdge> &edges, std::uint64_t seed,
 
 } // namespace
 
+namespace detail
+{
+
+std::uint64_t
+uniformThreshold(double p)
+{
+    // Rng::uniform() is exactly u * 2^-53 for the 53-bit integer
+    // u = next() >> 11, and ldexp scales by a power of two exactly, so
+    // u * 2^-53 < p  <=>  u < p * 2^53  <=>  u < ceil(p * 2^53).
+    if (!(p > 0.0))
+        return 0; // never below p (also NaN)
+    if (p >= 1.0)
+        return 1ULL << 53; // always below p
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
+RmatThresholds::RmatThresholds(const RmatParams &params)
+{
+    // The partial sums are formed as doubles in Graph500's order, so
+    // every draw lands in the quadrant of the first-match chain
+    // `r < a`, `r < a+b`, `r < a+b+c`. step() needs monotone thresholds;
+    // the running maximum gives them without changing that chain's
+    // answer when a partial sum decreases.
+    const double sum_ab = params.a + params.b;
+    const double sum_abc = sum_ab + params.c;
+    a = uniformThreshold(params.a);
+    ab = std::max(a, uniformThreshold(sum_ab));
+    abc = std::max(ab, uniformThreshold(sum_abc));
+}
+
+} // namespace detail
+
 Csr
 rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
      const RmatParams &params, bool weighted, unsigned jobs)
 {
-    gds_require(scale >= 1 && scale <= 32, ConfigError,
+    // 2^32 vertices would wrap the 32-bit vertex count to zero.
+    gds_require(scale >= 1 && scale <= 31, ConfigError,
                 "rmat scale %u unsupported", scale);
     const VertexId num_vertices = static_cast<VertexId>(1ULL << scale);
     const EdgeId num_edges =
         static_cast<EdgeId>(edge_factor) * num_vertices;
 
-    std::vector<CooEdge> edges(num_edges);
-    const double ab = params.a + params.b;
-    const double abc = ab + params.c;
+    CooBuffer edges(num_edges);
+    const detail::RmatThresholds thresholds(params);
+    const Scrambler scramble(num_vertices, seed ^ 0x5bd1);
     generateChunked(edges, seed, jobs, [&](Rng &rng) {
         VertexId src = 0;
         VertexId dst = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
-            const double r = rng.uniform();
-            unsigned src_bit;
-            unsigned dst_bit;
-            if (r < params.a) {
-                src_bit = 0;
-                dst_bit = 0;
-            } else if (r < ab) {
-                src_bit = 0;
-                dst_bit = 1;
-            } else if (r < abc) {
-                src_bit = 1;
-                dst_bit = 0;
-            } else {
-                src_bit = 1;
-                dst_bit = 1;
-            }
-            src = (src << 1) | src_bit;
-            dst = (dst << 1) | dst_bit;
+            thresholds.step(rng.next() >> 11, src, dst);
         }
         const Weight w =
             weighted ? static_cast<Weight>(1 + rng.below(255)) : 1;
-        return CooEdge{scramble(src, num_vertices, seed ^ 0x5bd1),
-                       scramble(dst, num_vertices, seed ^ 0x5bd1), w};
+        return CooEdge{scramble(src), scramble(dst), w};
     });
 
     BuildOptions opts;
     opts.keepWeights = weighted;
     opts.jobs = jobs;
-    return buildCsr(num_vertices, std::move(edges), opts);
+    return buildCsrFromBuffer(num_vertices, std::move(edges), opts);
 }
 
 Csr
@@ -158,12 +192,11 @@ powerLaw(VertexId num_vertices, EdgeId num_edges, double alpha,
         return std::min(rank, num_vertices - 1);
     };
 
-    std::vector<CooEdge> edges(num_edges);
+    CooBuffer edges(num_edges);
+    const Scrambler scramble(num_vertices, seed ^ 0xfeed);
     generateChunked(edges, seed, jobs, [&](Rng &rng) {
-        const VertexId src =
-            scramble(sample_rank(rng), num_vertices, seed ^ 0xfeed);
-        const VertexId dst =
-            scramble(sample_rank(rng), num_vertices, seed ^ 0xfeed);
+        const VertexId src = scramble(sample_rank(rng));
+        const VertexId dst = scramble(sample_rank(rng));
         const Weight w =
             weighted ? static_cast<Weight>(1 + rng.below(255)) : 1;
         return CooEdge{src, dst, w};
@@ -172,7 +205,7 @@ powerLaw(VertexId num_vertices, EdgeId num_edges, double alpha,
     BuildOptions opts;
     opts.keepWeights = weighted;
     opts.jobs = jobs;
-    return buildCsr(num_vertices, std::move(edges), opts);
+    return buildCsrFromBuffer(num_vertices, std::move(edges), opts);
 }
 
 Csr
@@ -180,7 +213,7 @@ uniform(VertexId num_vertices, EdgeId num_edges, std::uint64_t seed,
         bool weighted, unsigned jobs)
 {
     gds_require(num_vertices > 0, ConfigError, "need at least one vertex");
-    std::vector<CooEdge> edges(num_edges);
+    CooBuffer edges(num_edges);
     generateChunked(edges, seed, jobs, [&](Rng &rng) {
         const auto src = static_cast<VertexId>(rng.below(num_vertices));
         const auto dst = static_cast<VertexId>(rng.below(num_vertices));
@@ -191,7 +224,7 @@ uniform(VertexId num_vertices, EdgeId num_edges, std::uint64_t seed,
     BuildOptions opts;
     opts.keepWeights = weighted;
     opts.jobs = jobs;
-    return buildCsr(num_vertices, std::move(edges), opts);
+    return buildCsrFromBuffer(num_vertices, std::move(edges), opts);
 }
 
 Csr

@@ -28,9 +28,48 @@ struct RmatParams
     // d = 1 - a - b - c
 };
 
+namespace detail
+{
+
+/**
+ * The integer form of `Rng::uniform() < p`: for the draw's top 53 bits
+ * u = next() >> 11, `u < uniformThreshold(p)` holds exactly when
+ * uniform() would have returned a value below p.
+ */
+std::uint64_t uniformThreshold(double p);
+
+/**
+ * One RMAT recursion step on integer thresholds. The first-match chain
+ * over r = u * 2^-53 (r < a: quadrant (0,0); r < a+b: (0,1); r < a+b+c:
+ * (1,0); else (1,1)) becomes three compares and no branch: with
+ * x1 = u >= a, x2 = u >= ab and x3 = u >= abc, the source bit is x2 and
+ * the destination bit is x1 ^ x2 ^ x3.
+ */
+struct RmatThresholds
+{
+    explicit RmatThresholds(const RmatParams &params);
+
+    /** Append the quadrant bits of the 53-bit draw @p u to src and dst. */
+    void
+    step(std::uint64_t u, VertexId &src, VertexId &dst) const
+    {
+        const VertexId x1 = u >= a;
+        const VertexId x2 = u >= ab;
+        const VertexId x3 = u >= abc;
+        src = (src << 1) | x2;
+        dst = (dst << 1) | (x1 ^ x2 ^ x3);
+    }
+
+    std::uint64_t a;
+    std::uint64_t ab;
+    std::uint64_t abc;
+};
+
+} // namespace detail
+
 /**
  * Generate an RMAT graph with 2^scale vertices and edge_factor * 2^scale
- * directed edges. Vertex ids are scrambled so degree does not correlate
+ * directed edges (scale in [1, 31]). Vertex ids are scrambled so degree does not correlate
  * with id (as Graph500 requires).
  *
  * Edges are generated in fixed-size chunks, each from its own

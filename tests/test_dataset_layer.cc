@@ -411,6 +411,12 @@ TEST(ParallelBuild, DedupeAndSelfLoopOptionsMatchSerial)
     EXPECT_SPAN_EQ(parallel.offsetArray(), serial.offsetArray());
     EXPECT_SPAN_EQ(parallel.neighborArray(), serial.neighborArray());
     EXPECT_SPAN_EQ(parallel.weightArray(), serial.weightArray());
+    // The generators' uninitialised-buffer entry point is the same build.
+    const graph::Csr buffered = graph::buildCsrFromBuffer(
+        v, graph::CooBuffer(edges.begin(), edges.end()), opts);
+    EXPECT_SPAN_EQ(buffered.offsetArray(), serial.offsetArray());
+    EXPECT_SPAN_EQ(buffered.neighborArray(), serial.neighborArray());
+    EXPECT_SPAN_EQ(buffered.weightArray(), serial.weightArray());
 }
 
 TEST(Generators, ChunkedGenerationIdenticalAcrossJobCounts)
