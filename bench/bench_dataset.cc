@@ -10,7 +10,9 @@
  *
  * Modes:
  *   (default)                 full measurement matrix, writes
- *                             BENCH_dataset.json
+ *                             BENCH_dataset.json; --repeat N times every
+ *                             generate and load cell N times (generate:
+ *                             median with min/max; load: min)
  *   --prepare NAME            generate + cache NAME at the current
  *                             GDS_SCALE (for a later cold-load run)
  *   --measure-load NAME       fresh-process cold load of the cached
@@ -102,11 +104,29 @@ timeLoad(const LoadFn &load, unsigned repeats)
     return best;
 }
 
+/** Median, min and max of repeated wall times. */
+struct Spread
+{
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::size_t runs = 0;
+};
+
+Spread
+spreadOf(std::vector<double> seconds)
+{
+    std::sort(seconds.begin(), seconds.end());
+    const std::size_t n = seconds.size();
+    return {(seconds[(n - 1) / 2] + seconds[n / 2]) / 2.0, seconds.front(),
+            seconds.back(), n};
+}
+
 void
 emitCell(std::ostream &os, bool &first, const std::string &dataset,
          const char *phase, const char *mode, double wall_seconds,
          double speedup, std::uint64_t heap_bytes,
-         std::uint64_t mapped_bytes)
+         std::uint64_t mapped_bytes, const Spread *spread = nullptr)
 {
     if (!first)
         os << ",\n";
@@ -119,6 +139,13 @@ emitCell(std::ostream &os, bool &first, const std::string &dataset,
     stats::emitJsonString(os, mode);
     os << ",\"wallSeconds\":";
     stats::emitJsonNumber(os, wall_seconds);
+    if (spread) {
+        os << ",\"wallSecondsMin\":";
+        stats::emitJsonNumber(os, spread->min);
+        os << ",\"wallSecondsMax\":";
+        stats::emitJsonNumber(os, spread->max);
+        os << ",\"repeats\":" << spread->runs;
+    }
     os << ",\"speedup\":";
     stats::emitJsonNumber(os, speedup);
     os << ",\"heapBytes\":" << heap_bytes
@@ -296,27 +323,47 @@ main(int argc, char **argv)
     for (const std::string &name : datasets) {
         const graph::DatasetSpec &spec = graph::datasetByName(name);
 
-        // Generate + build, serial vs parallel; must be byte-identical.
-        double serial_seconds = 0.0;
-        double parallel_seconds = 0.0;
+        // Generate + build, serial vs parallel, alternating so host noise
+        // hits both alike; every build must be byte-identical to the
+        // first serial one.
+        std::vector<double> serial_runs;
+        std::vector<double> parallel_runs;
         graph::Csr serial_graph;
-        graph::Csr parallel_graph;
-        {
-            const harness::ScopedWallTimer timer(serial_seconds);
-            serial_graph = graph::makeDataset(spec, scale, false, 1);
+        std::uint64_t parallel_heap_bytes = 0;
+        bool build_identical = true;
+        for (unsigned r = 0; r < repeats; ++r) {
+            double seconds = 0.0;
+            {
+                graph::Csr g;
+                {
+                    const harness::ScopedWallTimer timer(seconds);
+                    g = graph::makeDataset(spec, scale, false, 1);
+                }
+                if (r == 0)
+                    serial_graph = std::move(g);
+                else
+                    build_identical &= sameGraph(serial_graph, g);
+            }
+            serial_runs.push_back(seconds);
+            {
+                graph::Csr g;
+                {
+                    const harness::ScopedWallTimer timer(seconds);
+                    g = graph::makeDataset(spec, scale, false,
+                                           parallel_jobs);
+                }
+                build_identical &= sameGraph(serial_graph, g);
+                parallel_heap_bytes = g.heapBytes();
+            }
+            parallel_runs.push_back(seconds);
         }
-        {
-            const harness::ScopedWallTimer timer(parallel_seconds);
-            parallel_graph =
-                graph::makeDataset(spec, scale, false, parallel_jobs);
-        }
-        const double build_speedup = parallel_seconds > 0.0
-                                         ? serial_seconds /
-                                               parallel_seconds
-                                         : 0.0;
+        const Spread serial_spread = spreadOf(serial_runs);
+        const Spread parallel_spread = spreadOf(parallel_runs);
+        const double build_speedup =
+            parallel_spread.median > 0.0
+                ? serial_spread.median / parallel_spread.median
+                : 0.0;
         last_build_speedup = build_speedup;
-        const bool build_identical =
-            sameGraph(serial_graph, parallel_graph);
         if (!build_identical) {
             std::printf("  MISMATCH: parallel build of %s differs from "
                         "serial\n",
@@ -328,17 +375,19 @@ main(int argc, char **argv)
                         serial_graph.numVertices()),
                     static_cast<unsigned long long>(
                         serial_graph.numEdges()));
-        std::printf("  generate+build  serial %7.3fs | %u jobs %7.3fs | "
-                    "speedup %5.2fx | %s\n",
-                    serial_seconds, parallel_jobs, parallel_seconds,
-                    build_speedup,
+        std::printf("  generate+build  serial %7.3fs (%.3f-%.3f) | %u jobs "
+                    "%7.3fs (%.3f-%.3f) | speedup %5.2fx | %s\n",
+                    serial_spread.median, serial_spread.min,
+                    serial_spread.max, parallel_jobs,
+                    parallel_spread.median, parallel_spread.min,
+                    parallel_spread.max, build_speedup,
                     build_identical ? "identical" : "MISMATCH");
         emitCell(json, first_cell, name, "generate", "serial",
-                 serial_seconds, 1.0, serial_graph.heapBytes(), 0);
+                 serial_spread.median, 1.0, serial_graph.heapBytes(), 0,
+                 &serial_spread);
         emitCell(json, first_cell, name, "generate", "parallel",
-                 parallel_seconds, build_speedup,
-                 parallel_graph.heapBytes(), 0);
-        parallel_graph = graph::Csr();
+                 parallel_spread.median, build_speedup,
+                 parallel_heap_bytes, 0, &parallel_spread);
 
         // Cache write, then cache-hit loads: heap copy vs zero-copy map.
         const std::string path = harness::datasetCachePath(name, scale,

@@ -64,8 +64,7 @@ Csr
 buildCsrSerialWide(VertexId num_vertices, std::span<const CooEdge> edges,
                    bool keep_weights)
 {
-    std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1,
-                                0);
+    CsrArray<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1, 0);
     for (const CooEdge &e : edges) {
         gds_require(e.src < num_vertices && e.dst < num_vertices,
                     CorruptInputError, "edge (%u,%u) out of range (V=%u)",
@@ -75,8 +74,8 @@ buildCsrSerialWide(VertexId num_vertices, std::span<const CooEdge> edges,
     for (std::size_t v = 1; v < offsets.size(); ++v)
         offsets[v] += offsets[v - 1];
 
-    std::vector<VertexId> neighbors(edges.size());
-    std::vector<Weight> weights(keep_weights ? edges.size() : 0);
+    CsrArray<VertexId> neighbors(edges.size());
+    CsrArray<Weight> weights(keep_weights ? edges.size() : 0);
     std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
     for (const CooEdge &e : edges) {
         const EdgeId slot = cursor[e.src]++;
@@ -90,10 +89,9 @@ buildCsrSerialWide(VertexId num_vertices, std::span<const CooEdge> edges,
 
 /** Collapse duplicate destinations per vertex; see buildCsr(). */
 Csr
-dedupePerVertex(VertexId num_vertices, std::vector<EdgeId> offsets,
-                std::vector<VertexId> neighbors,
-                std::vector<Weight> weights, bool keep_weights,
-                unsigned jobs)
+dedupePerVertex(VertexId num_vertices, CsrArray<EdgeId> offsets,
+                CsrArray<VertexId> neighbors, CsrArray<Weight> weights,
+                bool keep_weights, unsigned jobs)
 {
     const std::size_t blocks =
         chunkCount(neighbors.size(), num_vertices, jobs);
@@ -136,15 +134,15 @@ dedupePerVertex(VertexId num_vertices, std::vector<EdgeId> offsets,
     });
 
     // Pass 2: serial prefix sum over the deduplicated degrees.
-    std::vector<EdgeId> new_offsets(
-        static_cast<std::size_t>(num_vertices) + 1, 0);
+    CsrArray<EdgeId> new_offsets(static_cast<std::size_t>(num_vertices) + 1,
+                                 0);
     for (VertexId v = 0; v < num_vertices; ++v)
         new_offsets[v + 1] = new_offsets[v] + deduped_degree[v];
 
     // Pass 3: gather the compacted prefixes into dense arrays.
     const EdgeId new_edge_count = new_offsets[num_vertices];
-    std::vector<VertexId> new_neighbors(new_edge_count);
-    std::vector<Weight> new_weights(keep_weights ? new_edge_count : 0);
+    CsrArray<VertexId> new_neighbors(new_edge_count);
+    CsrArray<Weight> new_weights(keep_weights ? new_edge_count : 0);
     common::parallelFor(blocks, pool_jobs, [&](std::size_t b) {
         const auto [v_begin, v_end] = chunkRange(num_vertices, blocks, b);
         for (std::size_t v = v_begin; v < v_end; ++v) {
@@ -192,12 +190,10 @@ buildFromEdges(VertexId num_vertices, EdgeList &edges,
         if (!opts.removeDuplicates)
             return g;
         // Csr arrays are immutable; re-extract for the dedup pass.
-        std::vector<EdgeId> o(g.offsetArray().begin(),
-                              g.offsetArray().end());
-        std::vector<VertexId> n(g.neighborArray().begin(),
-                                g.neighborArray().end());
-        std::vector<Weight> w(g.weightArray().begin(),
-                              g.weightArray().end());
+        CsrArray<EdgeId> o(g.offsetArray().begin(), g.offsetArray().end());
+        CsrArray<VertexId> n(g.neighborArray().begin(),
+                             g.neighborArray().end());
+        CsrArray<Weight> w(g.weightArray().begin(), g.weightArray().end());
         return dedupePerVertex(num_vertices, std::move(o), std::move(n),
                                std::move(w), opts.keepWeights, opts.jobs);
     }
@@ -229,9 +225,9 @@ buildFromEdges(VertexId num_vertices, EdgeList &edges,
     // its histogram columns into absolute scatter cursors: chunk c's
     // first edge for vertex v lands at offsets[v] plus everything chunks
     // before c contribute to v. That equality with the serial counting
-    // sort's cursor is what makes the output byte-identical.
-    std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1,
-                                0);
+    // sort's cursor is what makes the output byte-identical. The blocks
+    // cover [0, V), so with offsets[V] below every offset is written here.
+    CsrArray<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1);
     std::vector<EdgeId> block_total(chunks, 0);
     common::parallelFor(chunks, pool_jobs, [&](std::size_t b) {
         const auto [v_begin, v_end] = chunkRange(num_vertices, chunks, b);
@@ -260,9 +256,11 @@ buildFromEdges(VertexId num_vertices, EdgeList &edges,
     offsets[num_vertices] = num_edges;
 
     // Pass 3: scatter. Cursor slots are disjoint across chunks by
-    // construction, so concurrent writes never touch the same index.
-    std::vector<VertexId> neighbors(num_edges);
-    std::vector<Weight> weights(opts.keepWeights ? num_edges : 0);
+    // construction, so concurrent writes never touch the same index, and
+    // the cursors cover every slot exactly once: the scatter is the first
+    // write to the (uninitialised) edge arrays.
+    CsrArray<VertexId> neighbors(num_edges);
+    CsrArray<Weight> weights(opts.keepWeights ? num_edges : 0);
     common::parallelFor(chunks, pool_jobs, [&](std::size_t c) {
         auto &cursor = chunk_counts[c];
         const auto [begin, end] = chunkRange(num_edges, chunks, c);

@@ -13,8 +13,6 @@
 
 #pragma once
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "graph/csr.hh"
@@ -28,35 +26,6 @@ struct CooEdge
     VertexId src;
     VertexId dst;
     Weight weight = 1;
-};
-
-/**
- * std::allocator whose value-initialisation is a no-op: `vector(n)` and
- * `resize(n)` allocate without writing a byte, so the first write to
- * each page is the owner's own (typically parallel) fill. Only for
- * element types every slot of which is assigned before it is read.
- */
-template <typename T>
-struct NoInitAllocator : std::allocator<T>
-{
-    NoInitAllocator() = default;
-    template <typename U>
-    NoInitAllocator(const NoInitAllocator<U> &) noexcept
-    {
-    }
-
-    template <typename U>
-    void
-    construct(U *) noexcept
-    {
-    }
-
-    template <typename U, typename... Args>
-    void
-    construct(U *p, Args &&...args)
-    {
-        std::construct_at(p, std::forward<Args>(args)...);
-    }
 };
 
 /**

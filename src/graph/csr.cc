@@ -49,9 +49,8 @@ Csr::Csr() : offsets_store(1, 0)
     offsets = offsets_store;
 }
 
-Csr::Csr(std::vector<EdgeId> offset_array,
-         std::vector<VertexId> neighbor_array,
-         std::vector<Weight> weight_array)
+Csr::Csr(CsrArray<EdgeId> offset_array, CsrArray<VertexId> neighbor_array,
+         CsrArray<Weight> weight_array)
     : offsets_store(std::move(offset_array)),
       neighbors_store(std::move(neighbor_array)),
       weights_store(std::move(weight_array))
@@ -191,13 +190,12 @@ Csr
 Csr::withRandomWeights(std::uint64_t seed) const
 {
     Rng rng(seed);
-    std::vector<Weight> w(neighbors.size());
+    CsrArray<Weight> w(neighbors.size());
     for (auto &value : w)
         value = static_cast<Weight>(1 + rng.below(255));
     if (!isMapped()) {
-        return Csr(std::vector<EdgeId>(offsets.begin(), offsets.end()),
-                   std::vector<VertexId>(neighbors.begin(),
-                                         neighbors.end()),
+        return Csr(CsrArray<EdgeId>(offsets.begin(), offsets.end()),
+                   CsrArray<VertexId>(neighbors.begin(), neighbors.end()),
                    std::move(w));
     }
     // Zero-copy hybrid: keep serving offsets/neighbours from the mapping
@@ -213,9 +211,8 @@ Csr
 Csr::withoutWeights() const
 {
     if (!isMapped()) {
-        return Csr(std::vector<EdgeId>(offsets.begin(), offsets.end()),
-                   std::vector<VertexId>(neighbors.begin(),
-                                         neighbors.end()),
+        return Csr(CsrArray<EdgeId>(offsets.begin(), offsets.end()),
+                   CsrArray<VertexId>(neighbors.begin(), neighbors.end()),
                    {});
     }
     return fromMapping(offsets, neighbors, {}, backing,

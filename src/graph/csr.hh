@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -28,6 +29,44 @@
 
 namespace gds::graph
 {
+
+/**
+ * std::allocator whose value-initialisation is a no-op: `vector(n)` and
+ * `resize(n)` allocate without writing a byte, so the first write to
+ * each page is the owner's own (typically parallel) fill. Only for
+ * element types every slot of which is assigned before it is read;
+ * `vector(n, value)` still writes @c value.
+ */
+template <typename T>
+struct NoInitAllocator : std::allocator<T>
+{
+    NoInitAllocator() = default;
+    template <typename U>
+    NoInitAllocator(const NoInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        std::construct_at(p, std::forward<Args>(args)...);
+    }
+};
+
+/**
+ * Heap storage of a Csr array. `CsrArray<T>(n)` is uninitialised, so a
+ * builder's scatter is the first write to the (up to GiB-sized) edge
+ * arrays instead of following a serial zero-fill.
+ */
+template <typename T>
+using CsrArray = std::vector<T, NoInitAllocator<T>>;
 
 /** Summary statistics of a degree sequence. */
 struct DegreeStats
@@ -58,9 +97,8 @@ class Csr
      * @param neighbor_array destination vertex per edge
      * @param weight_array per-edge weights; empty for unweighted graphs
      */
-    Csr(std::vector<EdgeId> offset_array,
-        std::vector<VertexId> neighbor_array,
-        std::vector<Weight> weight_array = {});
+    Csr(CsrArray<EdgeId> offset_array, CsrArray<VertexId> neighbor_array,
+        CsrArray<Weight> weight_array = {});
 
     /**
      * Construct a zero-copy graph whose arrays are views into a live file
@@ -225,9 +263,9 @@ class Csr
     void rebindOwnedViews(const Csr &other);
 
     // Owned storage: empty for arrays served from the mapping.
-    std::vector<EdgeId> offsets_store;
-    std::vector<VertexId> neighbors_store;
-    std::vector<Weight> weights_store;
+    CsrArray<EdgeId> offsets_store;
+    CsrArray<VertexId> neighbors_store;
+    CsrArray<Weight> weights_store;
 
     // The views every accessor reads through (owned store or mapping).
     std::span<const EdgeId> offsets;

@@ -355,12 +355,10 @@ loadBinary(const std::string &path)
     const auto file = common::MappedFile::open(path);
     file->adviseSequential(0, file->size());
     const ParsedV2 parsed = parseV2(*file, /*verify_checksums=*/true);
-    std::vector<EdgeId> offsets(parsed.offsets.begin(),
-                                parsed.offsets.end());
-    std::vector<VertexId> neighbors(parsed.neighbors.begin(),
-                                    parsed.neighbors.end());
-    std::vector<Weight> weights(parsed.weights.begin(),
-                                parsed.weights.end());
+    CsrArray<EdgeId> offsets(parsed.offsets.begin(), parsed.offsets.end());
+    CsrArray<VertexId> neighbors(parsed.neighbors.begin(),
+                                 parsed.neighbors.end());
+    CsrArray<Weight> weights(parsed.weights.begin(), parsed.weights.end());
     const Status valid = Csr::validateArrays(offsets, neighbors, weights);
     if (!valid.ok())
         throw CorruptInputError(path, 0, valid.message());

@@ -33,10 +33,9 @@ sliceByDestination(const Csr &graph, VertexId max_dst_vertices)
                                         max_dst_vertices,
                                     v_count);
 
-        std::vector<EdgeId> offsets(static_cast<std::size_t>(v_count) + 1,
-                                    0);
-        std::vector<VertexId> neighbors;
-        std::vector<Weight> weights;
+        CsrArray<EdgeId> offsets(static_cast<std::size_t>(v_count) + 1, 0);
+        CsrArray<VertexId> neighbors;
+        CsrArray<Weight> weights;
         for (VertexId u = 0; u < v_count; ++u) {
             const auto nbrs = graph.neighborsOf(u);
             for (std::size_t i = 0; i < nbrs.size(); ++i) {

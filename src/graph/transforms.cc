@@ -13,14 +13,14 @@ Csr
 transpose(const Csr &g)
 {
     const VertexId v_count = g.numVertices();
-    std::vector<EdgeId> offsets(static_cast<std::size_t>(v_count) + 1, 0);
+    CsrArray<EdgeId> offsets(static_cast<std::size_t>(v_count) + 1, 0);
     for (const VertexId dst : g.neighborArray())
         ++offsets[dst + 1];
     for (std::size_t v = 1; v < offsets.size(); ++v)
         offsets[v] += offsets[v - 1];
 
-    std::vector<VertexId> neighbors(g.numEdges());
-    std::vector<Weight> weights(g.hasWeights() ? g.numEdges() : 0);
+    CsrArray<VertexId> neighbors(g.numEdges());
+    CsrArray<Weight> weights(g.hasWeights() ? g.numEdges() : 0);
     std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
     for (VertexId u = 0; u < v_count; ++u) {
         const auto nbrs = g.neighborsOf(u);

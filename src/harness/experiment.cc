@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -360,20 +362,10 @@ runGunrock(algo::AlgorithmId algorithm, const std::string &dataset,
     return run(shimSpec(SystemId::Gunrock, algorithm, dataset, nullptr), g);
 }
 
-std::vector<RunRecord>
-evaluationMatrix(ResultCache &cache)
+std::vector<MatrixCell>
+matrixCells()
 {
-    struct Cell
-    {
-        RunSpec spec;
-        const graph::DatasetSpec *data;
-        bool weighted;
-    };
-
-    // Enumerate cells in the canonical serial traversal order; each cell
-    // writes into its own slot, so the returned records are identical
-    // whatever the worker count or completion interleaving.
-    std::vector<Cell> cells;
+    std::vector<MatrixCell> cells;
     for (const algo::AlgorithmId id : algo::allAlgorithms) {
         const bool weighted = algo::makeAlgorithm(id)->usesWeights();
         for (const auto &data : graph::realWorldDatasets()) {
@@ -383,9 +375,47 @@ evaluationMatrix(ResultCache &cache)
                 cells.push_back({{sys, id, data.name}, &data, weighted});
         }
     }
+    return cells;
+}
+
+std::vector<std::size_t>
+matrixDispatchOrder(const std::vector<MatrixCell> &cells,
+                    unsigned scale_divisor)
+{
+    const auto before = [&](std::size_t a, std::size_t b) {
+        const MatrixCell &x = cells[a];
+        const MatrixCell &y = cells[b];
+        const std::uint64_t x_edges = x.data->scaledEdges(scale_divisor);
+        const std::uint64_t y_edges = y.data->scaledEdges(scale_divisor);
+        if (x_edges != y_edges)
+            return x_edges > y_edges;
+        // The name only breaks edge-count ties (tiny scales clamp every
+        // graph to 256 edges), keeping each graph's run contiguous.
+        if (x.data->name != y.data->name)
+            return x.data->name < y.data->name;
+        if (x.weighted != y.weighted)
+            return !x.weighted;
+        return x.spec.algorithm > y.spec.algorithm;
+    };
+    // Stable, so the systems of one (graph, algorithm) keep their order.
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), before);
+    return order;
+}
+
+std::vector<RunRecord>
+evaluationMatrix(ResultCache &cache)
+{
+    // Each cell writes into its canonical slot, so the returned records
+    // are identical whatever the dispatch order, worker count or
+    // completion interleaving.
+    const std::vector<MatrixCell> cells = matrixCells();
+    const std::vector<std::size_t> order =
+        matrixDispatchOrder(cells, graph::datasetScaleDivisor());
 
     DatasetPool pool;
-    for (const Cell &c : cells)
+    for (const MatrixCell &c : cells)
         pool.expect(c.data->name, c.weighted);
 
     std::vector<RunRecord> records(cells.size());
@@ -394,7 +424,7 @@ evaluationMatrix(ResultCache &cache)
     std::atomic<unsigned> running{0};
 
     auto run_one = [&](std::size_t i) {
-        const Cell &c = cells[i];
+        const MatrixCell &c = cells[i];
         const std::string system = systemName(c.spec.system);
         const std::string &dataset = c.data->name;
         const std::string key = c.spec.key();
@@ -428,10 +458,11 @@ evaluationMatrix(ResultCache &cache)
                    cells.size(), active);
     };
 
-    common::parallelFor(cells.size(), common::jobCount(), run_one);
+    common::parallelFor(order.size(), common::jobCount(),
+                        [&](std::size_t k) { run_one(order[k]); });
 
-    // Provenance manifest: one entry per cell, in the serial traversal
-    // order (the records vector), so manifests diff cleanly across runs.
+    // Provenance manifest: one entry per cell, in the canonical order
+    // (the records vector), so manifests diff cleanly across runs.
     Manifest manifest;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const RunRecord &r = records[i];

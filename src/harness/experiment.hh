@@ -280,12 +280,43 @@ std::string cellKey(const std::string &system_tag, algo::AlgorithmId id,
  * Cold cells run concurrently on jobCount() workers (GDS_JOBS env;
  * GDS_JOBS=1 forces the serial path). Each dataset is loaded exactly once
  * per (name, weighted) combination regardless of worker interleaving and
- * is released as soon as its last cell completes. The returned records
- * are always in the serial traversal order — byte-identical whatever the
- * worker count — and progress is reported live on stderr
+ * is released as soon as its last cell completes. Cells are dispatched in
+ * matrixDispatchOrder(), but the returned records are always in the
+ * canonical order of matrixCells() — byte-identical whatever the worker
+ * count — and progress is reported live on stderr
  * ("[harness] 42/90 cells, 3 running").
  */
 std::vector<RunRecord> evaluationMatrix(ResultCache &cache);
+
+/** One cell of the evaluation matrix. */
+struct MatrixCell
+{
+    RunSpec spec;
+    const graph::DatasetSpec *data;
+    /** The cell runs on the weighted variant of its dataset. */
+    bool weighted;
+};
+
+/**
+ * The 90 matrix cells in canonical order: algorithms (BFS..PR) x the six
+ * real-world datasets x systems (GraphDynS, Graphicionado, Gunrock).
+ * evaluationMatrix's records and manifest entries follow this order.
+ */
+std::vector<MatrixCell> matrixCells();
+
+/**
+ * The order in which evaluationMatrix dispatches @p cells, as a
+ * permutation of their indices. Graph-major: each (dataset, weighted)
+ * graph's cells form one contiguous run, graphs by descending edge count
+ * at @p scale_divisor, the unweighted variant before the weighted one.
+ * Within a graph the costliest algorithm comes first (PR, SSWP, CC,
+ * SSSP, BFS); systems keep their canonical order. Because a graph's
+ * cells are contiguous, at most about one graph per worker is ever
+ * mapped, and the longest cells start first.
+ */
+std::vector<std::size_t>
+matrixDispatchOrder(const std::vector<MatrixCell> &cells,
+                    unsigned scale_divisor);
 
 /** Find a cell in a record list; fatal() if absent. */
 const RunRecord &findRecord(const std::vector<RunRecord> &records,

@@ -280,8 +280,7 @@ TEST(LoadBinary, RejectsCorruptedContents)
     // vouch for the bytes, the array validation must still refuse them.
     const ScratchFile file("corrupt.bin");
     graph::saveBinaryAtomic(
-        graph::Csr(std::vector<EdgeId>{0, 1, 2}, std::vector<VertexId>{1, 0},
-                   std::vector<Weight>{}),
+        graph::Csr({0, 1, 2}, {1, 0}),
         file.path());
     std::vector<char> bytes(fs::file_size(file.path()));
     std::ifstream(file.path(), std::ios::binary)

@@ -2,18 +2,22 @@
  * @file
  * Tests for the parallel experiment runner: the GDS_JOBS worker-count
  * policy, the ThreadPool/parallelFor scheduler, concurrent access to the
- * thread-safe result cache, and the determinism guarantee that a parallel
- * evaluationMatrix returns records byte-identical to the serial order.
- * These are the tests CI also runs under GDS_SANITIZE=thread.
+ * thread-safe result cache, the matrix's graph-major dispatch order, and
+ * the determinism guarantee that a parallel evaluationMatrix returns
+ * records byte-identical to the serial order. These are the tests CI
+ * also runs under GDS_SANITIZE=thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -88,6 +92,101 @@ TEST(Parallel, ThreadPoolDrainsAndIsReusableAfterWait)
     pool.submit([&] { sum.fetch_add(1); });
     pool.wait();
     EXPECT_EQ(sum.load(), 101);
+}
+
+/** The matrix's cells in dispatch order at @p scale. */
+std::vector<MatrixCell>
+dispatchedCells(unsigned scale)
+{
+    const std::vector<MatrixCell> cells = matrixCells();
+    std::vector<MatrixCell> dispatched;
+    for (const std::size_t i : matrixDispatchOrder(cells, scale))
+        dispatched.push_back(cells.at(i));
+    return dispatched;
+}
+
+/** Scale divisors the order is checked at; 2^20 clamps every graph to
+ *  256 edges, so all edge counts tie. */
+constexpr unsigned dispatchScales[] = {1, 16, 64, 1u << 20};
+
+TEST(MatrixDispatch, IsAPermutationOfTheNinetyCells)
+{
+    const std::vector<MatrixCell> cells = matrixCells();
+    ASSERT_EQ(cells.size(), 90u);
+    for (const unsigned scale : dispatchScales) {
+        std::vector<std::size_t> order = matrixDispatchOrder(cells, scale);
+        ASSERT_EQ(order.size(), cells.size()) << "scale " << scale;
+        std::sort(order.begin(), order.end());
+        for (std::size_t i = 0; i < order.size(); ++i)
+            ASSERT_EQ(order[i], i) << "scale " << scale;
+    }
+}
+
+TEST(MatrixDispatch, EachGraphIsOneContiguousRun)
+{
+    for (const unsigned scale : dispatchScales) {
+        // Six datasets, each unweighted (BFS CC PR) and weighted (SSSP
+        // SSWP): twelve graphs, so twelve runs means one run per graph.
+        std::vector<std::pair<std::string, bool>> runs;
+        std::set<std::pair<std::string, bool>> graphs;
+        for (const MatrixCell &c : dispatchedCells(scale)) {
+            const std::pair<std::string, bool> graph{c.data->name,
+                                                     c.weighted};
+            graphs.insert(graph);
+            if (runs.empty() || runs.back() != graph)
+                runs.push_back(graph);
+        }
+        EXPECT_EQ(graphs.size(), 12u);
+        EXPECT_EQ(runs.size(), graphs.size()) << "scale " << scale;
+    }
+}
+
+TEST(MatrixDispatch, GraphsComeInNonIncreasingEdgeCountUnweightedFirst)
+{
+    for (const unsigned scale : dispatchScales) {
+        const std::vector<MatrixCell> cells = dispatchedCells(scale);
+        for (std::size_t k = 1; k < cells.size(); ++k) {
+            const MatrixCell &prev = cells[k - 1];
+            const MatrixCell &cur = cells[k];
+            EXPECT_GE(prev.data->scaledEdges(scale),
+                      cur.data->scaledEdges(scale))
+                << "position " << k << ", scale " << scale;
+            if (prev.data == cur.data) {
+                EXPECT_LE(prev.weighted, cur.weighted)
+                    << cur.data->name << " position " << k;
+            }
+        }
+    }
+    // At the benchmark's scale the largest graph goes first.
+    EXPECT_EQ(dispatchedCells(64).front().data->name, "OR");
+    EXPECT_EQ(dispatchedCells(64).back().data->name, "FR");
+}
+
+TEST(MatrixDispatch, CostliestAlgorithmFirstWithinAGraph)
+{
+    using algo::AlgorithmId;
+    for (const unsigned scale : dispatchScales) {
+        const std::vector<MatrixCell> cells = dispatchedCells(scale);
+        for (std::size_t k = 0; k < cells.size(); k += 3) {
+            // One algorithm's three systems, in canonical order.
+            ASSERT_LE(k + 3, cells.size());
+            EXPECT_EQ(cells[k].spec.system, SystemId::GraphDynS);
+            EXPECT_EQ(cells[k + 1].spec.system, SystemId::Graphicionado);
+            EXPECT_EQ(cells[k + 2].spec.system, SystemId::Gunrock);
+            for (std::size_t j = k + 1; j < k + 3; ++j) {
+                EXPECT_EQ(cells[j].spec.algorithm, cells[k].spec.algorithm);
+                EXPECT_EQ(cells[j].data, cells[k].data);
+            }
+        }
+        // Per graph: PR, CC, BFS (unweighted), then SSWP, SSSP.
+        const std::vector<AlgorithmId> per_dataset = {
+            AlgorithmId::Pr,   AlgorithmId::Cc,   AlgorithmId::Bfs,
+            AlgorithmId::Sswp, AlgorithmId::Sssp};
+        for (std::size_t k = 0; k < cells.size(); ++k) {
+            EXPECT_EQ(cells[k].spec.algorithm, per_dataset[(k / 3) % 5])
+                << "position " << k << ", scale " << scale;
+        }
+    }
 }
 
 /** Run cache/matrix tests in a scratch directory (they write CWD files). */
@@ -205,6 +304,28 @@ TEST_F(ParallelHarnessTest, MatrixParallelMatchesSerialByteForByte)
     }
 
     EXPECT_EQ(serial_json, parallel_json);
+}
+
+TEST_F(ParallelHarnessTest, MatrixRecordsEqualCanonicalOrderRuns)
+{
+    // The records of the graph-major dispatch are exactly those of
+    // running every cell one by one in canonical order.
+    ::setenv("GDS_SCALE", "16384", 1);
+    std::vector<RunRecord> canonical;
+    for (const MatrixCell &c : matrixCells())
+        canonical.push_back(
+            run(c.spec, loadDataset(c.data->name, c.weighted)));
+    std::ostringstream expected;
+    dumpRecordsJson(canonical, expected);
+
+    for (const char *jobs : {"1", "3"}) {
+        ::setenv("GDS_JOBS", jobs, 1);
+        std::filesystem::remove("gds_bench_cache_v1.csv");
+        ResultCache cache;
+        std::ostringstream os;
+        dumpRecordsJson(evaluationMatrix(cache), os);
+        EXPECT_EQ(os.str(), expected.str()) << "GDS_JOBS=" << jobs;
+    }
 }
 
 TEST_F(ParallelHarnessTest, WarmMatrixNeedsNoSimulationAndStaysOrdered)
